@@ -12,6 +12,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from typing import Mapping, Sequence
 
 from .combinatorics import (
@@ -54,20 +55,33 @@ def _load_json(path: str):
         raise SystemExit(f"error: malformed JSON in {path}: {exc}") from None
 
 
+@contextmanager
+def _fields_of(what: str):
+    """Report a missing or ill-typed field of an input file as a usage
+    error instead of a traceback."""
+    try:
+        yield
+    except KeyError as exc:
+        raise SystemExit(f"error: {what} has no field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"error: malformed {what}: {exc}") from None
+
+
 def _resolve_graph(source, k: int | None = None) -> RestrictionGraph:
     if isinstance(source, str):
         source = _load_json(source)
-    if isinstance(source, Mapping) and "builtin" in source:
-        name = source["builtin"]
-        kk = int(source.get("k", k or 0))
-        if name == "complete":
-            return RestrictionGraph.complete(kk)
-        if name == "example1":
-            return example1_graph(kk)
-        if name == "example3":
-            return example3_graph(kk)
-        raise DomainError(f"unknown builtin graph {name!r}")
-    return RestrictionGraph.from_json(source)
+    with _fields_of("graph"):
+        if isinstance(source, Mapping) and "builtin" in source:
+            name = source["builtin"]
+            kk = int(source.get("k", k or 0))
+            if name == "complete":
+                return RestrictionGraph.complete(kk)
+            if name == "example1":
+                return example1_graph(kk)
+            if name == "example3":
+                return example3_graph(kk)
+            raise DomainError(f"unknown builtin graph {name!r}")
+        return RestrictionGraph.from_json(source)
 
 
 def _resolve_function(desc: Mapping, k: int, n: int) -> TruthTable:
@@ -109,33 +123,40 @@ def _resolve_certificate(source):
     """Accept an inline certificate object or a path to one."""
     if isinstance(source, str):
         source = _load_json(source)
-    return certificate_from_json(source)
+    with _fields_of("certificate"):
+        return certificate_from_json(source)
 
 
 def _load_plan(path: str, budget: int):
     """Materialize a plan file: returns (compiled spec, plan, f)."""
     data = _load_json(path)
-    theorem_path = data["path"]
-    k, n, ell = int(data["k"]), int(data["n"]), int(data["ell"])
-    f = _resolve_function(data.get("function", {}), k, n)
-    _, _, _, triplets, cert_perms = _resolve_certificate(data["certificate"])
+    with _fields_of("plan"):
+        theorem_path = data["path"]
+        k, n, ell = int(data["k"]), int(data["n"]), int(data["ell"])
+        f = _resolve_function(data.get("function", {}), k, n)
+        _, _, _, triplets, cert_perms = _resolve_certificate(
+            data["certificate"])
+        if theorem_path == "t2":
+            graph = _resolve_graph(data["graph"], k)
+            base = _build_protocol(data["protocol"], k, n, f, ell)
+        else:
+            if "permutations" in data:
+                perms = tuple(Permutation(tuple(img))
+                              for img in data["permutations"])
+            elif cert_perms is not None:
+                perms = cert_perms
+            else:
+                raise DomainError("plan needs permutations, inline or in "
+                                  "the certificate file")
+            protos = tuple(_build_protocol(d, k, n, f, ell)
+                           for d in data["protocols"])
+            if theorem_path == "t1":
+                graph = _resolve_graph(data["graph"], k)
     if theorem_path == "t2":
-        graph = _resolve_graph(data["graph"], k)
-        base = _build_protocol(data["protocol"], k, n, f, ell)
         compiled, plan, _ = compile_symmetric(base, f, graph, triplets, ell,
                                               budget)
         return compiled, plan, f
-    if "permutations" in data:
-        perms = tuple(Permutation(tuple(img)) for img in data["permutations"])
-    elif cert_perms is not None:
-        perms = cert_perms
-    else:
-        raise DomainError("plan needs permutations, inline or in the "
-                          "certificate file")
-    protos = tuple(_build_protocol(d, k, n, f, ell)
-                   for d in data["protocols"])
     if theorem_path == "t1":
-        graph = _resolve_graph(data["graph"], k)
         plan = CompilationPlan("t1", ell, perms, protos, tuple(triplets),
                                graph)
         return multiplex_combine(plan), plan, f

@@ -1,5 +1,6 @@
 """Multiplexing transformations: permuted protocols, the general combiner,
-the symmetric-function pipeline, and the myopic one-way combiner.
+the symmetric-function pipeline, and the myopic one-way combiner, all
+built on one XOR-multiplexing engine.
 
 A compiled protocol is an ordinary NOF board protocol.  Each party honestly
 reconstructs any message that was XOR-combined for it: it recomputes the
@@ -15,16 +16,15 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .combinatorics import (
-    BindingTriplet, FilteringTriplet, MatrixA, MultiplexTriplet, Permutation,
-    build_matrix_a, filtering_to_multiplexing, is_multiplexing_set,
-    is_repetitive_set,
+    BindingTriplet, FilteringTriplet, MatrixA, Permutation, build_matrix_a,
+    filtering_to_multiplexing, is_multiplexing_set, is_repetitive_set,
 )
 from .core import (
     BOARD, BudgetError, CertificateError, CommPattern, DEFAULT_BUDGET,
     DomainError, InputMatrix, LegalityError, MessageRecord, Model,
     ObliviousnessError, Outgoing, ProtocolSpec, RestrictionGraph,
-    RobustnessError, SoundnessError, TruthTable, View, check_symmetry,
-    domain_size, run_protocol, xor_bits,
+    RobustnessError, SoundnessError, TruthTable, View, board_outputs,
+    check_symmetry, domain_size, enumerate_inputs, run_protocol, xor_bits,
 )
 from .verifier import check_prefix_free
 
@@ -111,18 +111,189 @@ def check_pattern_robust(base: ProtocolSpec, other: ProtocolSpec,
 
 
 # ---------------------------------------------------------------------------
-# Theorem 1 path: combine point-to-point protocols on the board
+# the XOR-multiplexing engine shared by every theorem path
 # ---------------------------------------------------------------------------
 
-def _plain_tag(recipient: int) -> str:
-    return f"to:{recipient}"
+def _untag(tag: str | None) -> tuple[str | None, int]:
+    """Split a framing tag ``to:<recipient>``, ``mux:<group>`` or
+    ``out:<instance>`` into its kind and number."""
+    if not tag:
+        return None, 0
+    kind, _, value = tag.partition(":")
+    return kind, int(value)
 
 
-class _MuxGroup(NamedTuple):
-    index: int
+def _tag(kind: str, value: int) -> str:
+    return f"{kind}:{value}"
+
+
+class _Group(NamedTuple):
+    """Same-sender messages written as one XOR block."""
     sender: int
-    components: tuple[tuple[int, int], ...]  # (protocol, recipient)
+    components: tuple[tuple[int, int], ...]  # (instance, recipient)
 
+
+def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
+                groups: Sequence[_Group], rounds: int,
+                prefix_decode: bool) -> ProtocolSpec:
+    """Run the single-instance protocols round-synchronously on the board.
+
+    A message that a group lists is XORed, zero-padded to the longest in
+    its round, into the group's block; every other message is written
+    plainly.  A recipient of a block recomputes the other components from
+    the sender's view and plainly-boarded history and strips them off.
+    With exact stripping (t1/t2) all components must fill the block; with
+    ``prefix_decode`` (t3/c2) the recipient keeps the unique message, over
+    the 2^n values of its own input, that prefixes the zero-padded rest.
+    """
+    k, n, ell = protos[0].k, protos[0].n, len(protos)
+    seen = {(u, p): tuple(q.visibility().neighbors(p))
+            for u, q in enumerate(protos, start=1) for p in range(1, k + 1)}
+    # a myopic chain carries bits only from its position-t party in round t
+    speaker = {u: q.chain for u, q in enumerate(protos, start=1)
+               if q.model is Model.MYOPIC}
+    consumed = {(u, g.sender, rcpt): gi for gi, g in enumerate(groups)
+                for (u, rcpt) in g.components}
+    words = ["".join(b) for b in itertools.product("01", repeat=n)]
+
+    def sub_view(party, u, views, guess=None):
+        """``party``'s view of instance u, read from the working party's
+        views; ``guess`` = (j, word) stands in for the hidden x_j."""
+        try:
+            return View(party, {q: guess[1] if guess and q == guess[0]
+                                else views[u][q] for q in seen[u, party]})
+        except LegalityError as exc:
+            raise SoundnessError(
+                f"reconstruction needs an input hidden from the "
+                f"demultiplexing party: {exc}") from exc
+
+    def recompute(u, sender, recipient, rnd, board, views, guess=None):
+        """Instance u's round-``rnd`` message sender -> recipient, as the
+        demultiplexing party recomputes it."""
+        history = inbox(sender, u, rnd, board, views, demux=False)
+        for o in protos[u - 1].next_message(
+                sender, rnd, {1: sub_view(sender, u, views, guess)},
+                history, None):
+            if o.recipient == recipient:
+                return o.payload
+        return ""
+
+    def strip(party, u, block, gi, board, views):
+        """``party``'s own instance-u message out of a block."""
+        group, width = groups[gi], len(block.payload)
+        rest = block.payload
+        for (u2, rcpt2) in group.components:
+            if (u2, rcpt2) == (u, party):
+                continue
+            other = recompute(u2, group.sender, rcpt2, block.round, board,
+                              views)
+            if len(other) > width or (not prefix_decode
+                                      and len(other) != width):
+                raise SoundnessError("combined messages have unequal "
+                                     "lengths")
+            rest = xor_bits(rest, other.ljust(width, "0"))
+        if not prefix_decode:
+            return rest
+        candidates = {recompute(u, group.sender, party, block.round, board,
+                                views, guess=(party, w)) for w in words}
+        matches = [c for c in candidates if rest.startswith(c)]
+        if len(matches) != 1:
+            raise SoundnessError(
+                f"prefix decoding found {len(matches)} candidates")
+        if rest[len(matches[0]):].strip("0"):
+            raise SoundnessError("nonzero bits past the decoded message")
+        return matches[0]
+
+    def inbox(party, u, upto, board, views, demux):
+        """Messages ``party`` received in instance u before round
+        ``upto``; XOR blocks are stripped only when ``demux`` allows."""
+        msgs = []
+        for r in board:
+            if r.round >= upto:
+                break
+            kind, value = _untag(r.tag)
+            if kind == "to" and r.protocol == u and value == party:
+                msgs.append(MessageRecord(r.round, r.sender, party,
+                                          r.payload))
+            elif kind == "mux" and (u, party) in groups[value].components:
+                if not demux:
+                    raise SoundnessError(
+                        f"history of party {party} in instance {u} was "
+                        f"multiplexed; certificate should forbid this")
+                msgs.append(MessageRecord(
+                    r.round, groups[value].sender, party,
+                    strip(party, u, r, value, board, views)))
+        return tuple(msgs)
+
+    def next_message(p, t, views, board_inbox, board):
+        if t > rounds:
+            outs = []
+            for u, q in enumerate(protos, start=1):
+                if q.output_party != p:
+                    continue
+                bits = q.output_rule({1: sub_view(p, u, views)},
+                                     inbox(p, u, t, board, views, demux=True),
+                                     None)
+                outs.append(Outgoing(BOARD, str(bits[1]), protocol=u,
+                                     tag=_tag("out", u)))
+            return outs
+        staged: dict[int, dict[tuple[int, int], str]] = {}
+        results = []
+        for u, q in enumerate(protos, start=1):
+            if u in speaker and speaker[u][t - 1] != p:
+                continue
+            for o in q.next_message(p, t, {1: sub_view(p, u, views)},
+                                    inbox(p, u, t, board, views, demux=True),
+                                    None):
+                gi = consumed.get((u, p, o.recipient))
+                if gi is None:
+                    results.append(Outgoing(BOARD, o.payload, protocol=u,
+                                            tag=_tag("to", o.recipient)))
+                else:
+                    staged.setdefault(gi, {})[(u, o.recipient)] = o.payload
+        for gi, parts in sorted(staged.items()):
+            payloads = [parts.get(c, "") for c in groups[gi].components]
+            width = max(len(w) for w in payloads)
+            if not prefix_decode and any(w and len(w) != width
+                                         for w in payloads):
+                raise SoundnessError("combined messages have unequal lengths")
+            acc = "0" * width
+            for w in payloads:
+                acc = xor_bits(acc, w.ljust(width, "0"))
+            if width:
+                results.append(Outgoing(BOARD, acc, tag=_tag("mux", gi)))
+        return results
+
+    def output_rule(views, board_inbox, board):
+        return board_outputs(board, ell)
+
+    pattern = None
+    if all(q.pattern is not None for q in protos):
+        lengths: dict[tuple[int, int, int], int] = {}
+        blocks: dict[tuple[int, int], int] = {}
+        for u, q in enumerate(protos, start=1):
+            for (t, i, j), v in q.pattern.lengths.items():
+                gi = consumed.get((u, i, j))
+                if gi is None:
+                    lengths[t, i, BOARD] = lengths.get((t, i, BOARD), 0) + v
+                else:
+                    blocks[t, gi] = max(blocks.get((t, gi), 0), v)
+            key = (rounds + 1, q.output_party, BOARD)
+            lengths[key] = lengths.get(key, 0) + 1
+        for (t, gi), v in blocks.items():
+            key = (t, groups[gi].sender, BOARD)
+            lengths[key] = lengths.get(key, 0) + v
+        pattern = CommPattern(lengths, rounds + 1)
+
+    return ProtocolSpec(
+        name=name, model=Model.NOF_BOARD, k=k, n=n, ell=ell,
+        rounds=rounds + 1, next_message=next_message, output_party=1,
+        output_rule=output_rule, pattern=pattern)
+
+
+# ---------------------------------------------------------------------------
+# Theorem 1 path: combine point-to-point protocols on the board
+# ---------------------------------------------------------------------------
 
 def multiplex_combine(plan: CompilationPlan) -> ProtocolSpec:
     """Run all instance protocols round-synchronously on the board, writing
@@ -131,7 +302,7 @@ def multiplex_combine(plan: CompilationPlan) -> ProtocolSpec:
         raise DomainError("multiplex_combine handles the t1/t2 paths")
     if plan.graph is None:
         raise DomainError("plan needs the base restriction graph")
-    protos, perms, ell = plan.protocols, plan.perms, plan.ell
+    protos, perms = plan.protocols, plan.perms
     if not perms[0].is_identity():
         raise DomainError("the first permutation must be the identity")
     k, n, rounds = protos[0].k, protos[0].n, protos[0].rounds
@@ -149,137 +320,11 @@ def multiplex_combine(plan: CompilationPlan) -> ProtocolSpec:
     verdict = is_multiplexing_set(cert, perms, plan.graph)
     if not verdict:
         raise CertificateError(verdict.reason)
-
-    groups = []
-    consumed: dict[tuple[int, int, int], _MuxGroup] = {}
-    for gi, t in enumerate(cert):
-        comps = ((1, t.b),) + tuple((r, perms[r - 1](t.b))
-                                    for r in sorted(t.R))
-        group = _MuxGroup(gi, t.a, comps)
-        groups.append(group)
-        for (u, rcpt) in comps:
-            consumed[(u, t.a, rcpt)] = group
-
-    def sub_view(party, u, views):
-        try:
-            return View(party, {q: views[u][q]
-                                for q in protos[u - 1].graph.neighbors(party)})
-        except LegalityError as exc:
-            raise SoundnessError(
-                f"reconstruction needs an input hidden from the "
-                f"demultiplexing party: {exc}") from exc
-
-    def find_mux_record(board, gi, rnd):
-        for r in board:
-            if r.round == rnd and r.tag == f"mux:{gi}":
-                return r
-        return None
-
-    def reconstruct(u, sender, recipient, rnd, board, views):
-        """Recompute Q_u's round-``rnd`` message sender -> recipient from
-        the demultiplexing party's knowledge."""
-        view = sub_view(sender, u, views)
-        history = gather_inbox(sender, u, rnd, board, views, allow_mux=False)
-        outs = protos[u - 1].next_message(sender, rnd, {1: view}, history,
-                                          None)
-        for o in outs:
-            if o.recipient == recipient:
-                return o.payload
-        return ""
-
-    def gather_inbox(party, u, upto, board, views, allow_mux):
-        """Messages ``party`` received in Q_u before round ``upto``,
-        demultiplexing its own XOR blocks where allowed."""
-        msgs = []
-        for r in board:
-            if r.round >= upto:
-                continue
-            if r.protocol == u and r.tag == _plain_tag(party):
-                msgs.append(MessageRecord(r.round, r.sender, party,
-                                          r.payload))
-            elif r.tag and r.tag.startswith("mux:"):
-                group = groups[int(r.tag[4:])]
-                if (u, party) not in group.components:
-                    continue
-                if not allow_mux:
-                    raise SoundnessError(
-                        f"history of party {party} in protocol {u} was "
-                        f"multiplexed; certificate should forbid this")
-                acc = r.payload
-                for (u2, rcpt2) in group.components:
-                    if (u2, rcpt2) == (u, party):
-                        continue
-                    other = reconstruct(u2, group.sender, rcpt2, r.round,
-                                        board, views)
-                    if len(other) != len(r.payload):
-                        raise SoundnessError(
-                            "combined messages have unequal lengths")
-                    acc = xor_bits(acc, other)
-                msgs.append(MessageRecord(r.round, group.sender, party, acc))
-        return tuple(msgs)
-
-    output_round = rounds + 1
-
-    def next_message(p, t, views, inbox, board):
-        if t > rounds:
-            outs = []
-            for u in range(1, ell + 1):
-                if protos[u - 1].output_party != p:
-                    continue
-                view = sub_view(p, u, views)
-                history = gather_inbox(p, u, t, board, views, allow_mux=True)
-                bits = protos[u - 1].output_rule({1: view}, history, None)
-                outs.append(Outgoing(BOARD, str(bits[1]), protocol=u,
-                                     tag=f"out:{u}"))
-            return outs
-        staged: dict[int, dict[tuple[int, int], str]] = {}
-        results = []
-        for u in range(1, ell + 1):
-            view = sub_view(p, u, views)
-            history = gather_inbox(p, u, t, board, views, allow_mux=True)
-            for o in protos[u - 1].next_message(p, t, {1: view}, history,
-                                                None):
-                group = consumed.get((u, p, o.recipient))
-                if group is None:
-                    results.append(Outgoing(BOARD, o.payload, protocol=u,
-                                            tag=_plain_tag(o.recipient)))
-                else:
-                    staged.setdefault(group.index, {})[(u, o.recipient)] = \
-                        o.payload
-        for gi, parts in sorted(staged.items()):
-            group = groups[gi]
-            payloads = [parts.get(c, "") for c in group.components]
-            width = max(len(w) for w in payloads)
-            if any(w and len(w) != width for w in payloads):
-                raise SoundnessError("combined messages have unequal lengths")
-            acc = "0" * width
-            for w in payloads:
-                acc = xor_bits(acc, w or "0" * width)
-            if width:
-                results.append(Outgoing(BOARD, acc, tag=f"mux:{gi}"))
-        return results
-
-    def output_rule(views, inbox, board):
-        from .core import board_outputs
-        return board_outputs(board, ell)
-
-    lengths: dict[tuple[int, int, int], int] = {}
-    for u, q in enumerate(protos, start=1):
-        for (t, i, j), v in q.pattern.lengths.items():
-            group = consumed.get((u, i, j))
-            if group is not None and (u, j) != group.components[0]:
-                continue  # counted once, at the base component
-            key = (t, i, BOARD)
-            lengths[key] = lengths.get(key, 0) + v
-    for u, q in enumerate(protos, start=1):
-        key = (output_round, q.output_party, BOARD)
-        lengths[key] = lengths.get(key, 0) + 1
-
-    return ProtocolSpec(
-        name=f"mux-{plan.path}[{protos[0].name} x{ell}]",
-        model=Model.NOF_BOARD, k=k, n=n, ell=ell, rounds=output_round,
-        next_message=next_message, output_party=1, output_rule=output_rule,
-        pattern=CommPattern(lengths, output_round))
+    groups = [_Group(t.a, ((1, t.b),) + tuple((r, perms[r - 1](t.b))
+                                              for r in sorted(t.R)))
+              for t in cert]
+    return _mux_engine(f"mux-{plan.path}[{protos[0].name} x{plan.ell}]",
+                       protos, groups, rounds, prefix_decode=False)
 
 
 def compile_symmetric(spec: ProtocolSpec, f: TruthTable,
@@ -298,7 +343,7 @@ def compile_symmetric(spec: ProtocolSpec, f: TruthTable,
     size = domain_size(spec.k, spec.n, 1)
     if size > budget:
         raise BudgetError(f"verifying the base protocol needs {size} runs")
-    for x in _single_inputs(spec.k, spec.n):
+    for x in enumerate_inputs(spec.k, spec.n, 1):
         got = run_protocol(spec, x).outputs[1]
         want = f.values[x.index]
         if got != want:
@@ -314,11 +359,6 @@ def compile_symmetric(spec: ProtocolSpec, f: TruthTable,
     return multiplex_combine(plan), plan, matrix
 
 
-def _single_inputs(k: int, n: int):
-    from .core import enumerate_inputs
-    return enumerate_inputs(k, n, 1)
-
-
 # ---------------------------------------------------------------------------
 # Theorem 3 path: combine myopic chains
 # ---------------------------------------------------------------------------
@@ -331,7 +371,8 @@ def myopic_combine(protocols: Sequence[ProtocolSpec],
     position messages zero-padded to the longest of their group.
 
     Chains need not be oblivious; recipients self-delimit their decoded
-    message by prefix-freeness.
+    message by prefix-freeness.  The compiled protocol declares a pattern
+    when every chain does.
     """
     protos = tuple(protocols)
     perms = tuple(perms)
@@ -357,145 +398,11 @@ def myopic_combine(protocols: Sequence[ProtocolSpec],
             if not check_prefix_free(protos[u - 1], t.pos, budget):
                 raise DomainError(
                     f"protocol {u} is not prefix-free at position {t.pos}")
-
-    groups = []
-    consumed: dict[tuple[int, int], _MuxGroup] = {}
-    for gi, t in enumerate(cert):
-        comps = tuple((u, perms[u - 1](t.pos + 1)) for u in sorted(t.U))
-        group = _MuxGroup(gi, t.s, comps)
-        groups.append(group)
-        for u in t.U:
-            consumed[(t.pos, u)] = group
-
-    chain_rounds = k - 1
-    words = ["".join(b) for b in itertools.product("01", repeat=n)]
-
-    def chain_view(party, u, views, override=None):
-        vis = protos[u - 1].visibility().neighbors(party)
-        visible = {}
-        for q in vis:
-            if override is not None and q == override[0]:
-                visible[q] = override[1]
-            else:
-                visible[q] = views[u][q]
-        return View(party, visible)
-
-    def position_of(party, u):
-        return perms[u - 1].image.index(party) + 1
-
-    def find_record(board, rnd, pred):
-        for r in board:
-            if r.round == rnd and pred(r):
-                return r
-        return None
-
-    def sender_message(u, pos, board, views, override=None):
-        """Recompute the chain-u message sent at position pos, seen from a
-        party that knows the sender's view (modulo the override) and its
-        plainly-boarded inbox."""
-        sender = perms[u - 1](pos)
-        try:
-            view = chain_view(sender, u, views, override)
-        except LegalityError as exc:
-            raise SoundnessError(str(exc)) from exc
-        history = chain_inbox(sender, u, pos, board, views, allow_mux=False)
-        outs = protos[u - 1].next_message(sender, pos, {1: view}, history,
-                                          None)
-        return outs[0].payload if outs else ""
-
-    def chain_inbox(party, u, upto, board, views, allow_mux):
-        pos = position_of(party, u)
-        rnd = pos - 1
-        if rnd < 1 or rnd >= upto:
-            return ()
-        plain = find_record(
-            board, rnd, lambda r: r.protocol == u and
-            r.tag == _plain_tag(party))
-        if plain is not None:
-            return (MessageRecord(rnd, perms[u - 1](rnd), party,
-                                  plain.payload),)
-        group = consumed.get((rnd, u))
-        if group is None:
-            return ()
-        if not allow_mux:
-            raise SoundnessError(
-                f"history of party {party} in chain {u} was multiplexed; "
-                f"certificate should forbid this")
-        block = find_record(board, rnd,
-                            lambda r: r.tag == f"mux:{group.index}")
-        if block is None:
-            return ()
-        payload = decode_block(party, u, rnd, group, block, board, views)
-        return (MessageRecord(rnd, group.sender, party, payload),)
-
-    def decode_block(party, u, pos, group, block, board, views):
-        remainder = block.payload
-        width = len(remainder)
-        for (u2, rcpt2) in group.components:
-            if u2 == u:
-                continue
-            other = sender_message(u2, pos, board, views)
-            if len(other) > width:
-                raise SoundnessError("combined message longer than block")
-            remainder = xor_bits(remainder, other.ljust(width, "0"))
-        candidates = {sender_message(u, pos, board, views,
-                                     override=(party, w)) for w in words}
-        matches = [c for c in candidates if remainder.startswith(c)]
-        if len(matches) != 1:
-            raise SoundnessError(
-                f"prefix decoding found {len(matches)} candidates")
-        own = matches[0]
-        if remainder[len(own):].strip("0"):
-            raise SoundnessError("nonzero bits past the decoded message")
-        return own
-
-    def next_message(p, t, views, inbox, board):
-        if t > chain_rounds:
-            outs = []
-            for u in range(1, ell + 1):
-                if perms[u - 1](k) != p:
-                    continue
-                view = chain_view(p, u, views)
-                history = chain_inbox(p, u, t, board, views, allow_mux=True)
-                bits = protos[u - 1].output_rule({1: view}, history, None)
-                outs.append(Outgoing(BOARD, str(bits[1]), protocol=u,
-                                     tag=f"out:{u}"))
-            return outs
-        staged: dict[int, dict[int, str]] = {}
-        results = []
-        for u in range(1, ell + 1):
-            if perms[u - 1](t) != p:
-                continue
-            view = chain_view(p, u, views)
-            history = chain_inbox(p, u, t, board, views, allow_mux=True)
-            outs = protos[u - 1].next_message(p, t, {1: view}, history, None)
-            payload = outs[0].payload if outs else ""
-            group = consumed.get((t, u))
-            if group is None:
-                if payload:
-                    results.append(Outgoing(BOARD, payload, protocol=u,
-                                            tag=_plain_tag(perms[u - 1](t + 1))))
-            else:
-                staged.setdefault(group.index, {})[u] = payload
-        for gi, parts in sorted(staged.items()):
-            group = groups[gi]
-            payloads = [parts.get(u, "") for (u, _) in group.components]
-            width = max(len(w) for w in payloads)
-            acc = "0" * width
-            for w in payloads:
-                acc = xor_bits(acc, w.ljust(width, "0"))
-            if width:
-                results.append(Outgoing(BOARD, acc, tag=f"mux:{gi}"))
-        return results
-
-    def output_rule(views, inbox, board):
-        from .core import board_outputs
-        return board_outputs(board, ell)
-
-    return ProtocolSpec(
-        name=f"mux-t3[{protos[0].name} x{ell}]", model=Model.NOF_BOARD,
-        k=k, n=n, ell=ell, rounds=chain_rounds + 1,
-        next_message=next_message, output_party=1, output_rule=output_rule)
+    groups = [_Group(t.s, tuple((u, perms[u - 1](t.pos + 1))
+                                for u in sorted(t.U)))
+              for t in cert]
+    return _mux_engine(f"mux-t3[{protos[0].name} x{ell}]", protos, groups,
+                       k - 1, prefix_decode=True)
 
 
 # ---------------------------------------------------------------------------

@@ -346,7 +346,7 @@ class CommPattern:
         return sum(v for (t, a, b), v in self.lengths.items()
                    if a == i and b == j)
 
-    def permuted(self, pi: "PermutationLike") -> "CommPattern":
+    def permuted(self, pi: Callable[[int], int]) -> "CommPattern":
         """LEN_pi(t, i, j) = LEN(t, pi^-1(i), pi^-1(j)); board stays board."""
         def relabel(p: int) -> int:
             return BOARD if p == BOARD else pi(p)
@@ -358,13 +358,6 @@ class CommPattern:
     def __eq__(self, other) -> bool:
         return (isinstance(other, CommPattern) and other.rounds == self.rounds
                 and other.lengths == self.lengths)
-
-
-class PermutationLike:
-    """Anything callable on party ids; combinatorics.Permutation satisfies it."""
-
-    def __call__(self, i: int) -> int:  # pragma: no cover - protocol stub
-        raise NotImplementedError
 
 
 class Model(Enum):

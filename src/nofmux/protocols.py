@@ -314,4 +314,4 @@ def myopic_eq_chain(k: int, n: int, pi: Permutation) -> ProtocolSpec:
 
 #: CLI-exposed constructor names.
 FAMILIES = ("lemma1", "corollary1", "eq2", "eq-multi", "example1",
-            "example3", "myopic-eq")
+            "example1-variant", "example3", "myopic-eq")

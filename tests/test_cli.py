@@ -169,3 +169,36 @@ def test_artifacts_are_deterministic(equality_pipeline_plan, tmp_path,
     main(["compile", equality_pipeline_plan, "--out", str(out1)])
     main(["compile", equality_pipeline_plan, "--out", str(out2)])
     assert out1.read_text() == out2.read_text()
+
+
+def _one_line_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err, err
+
+
+def test_plan_without_k_is_usage_error(equality_pipeline_plan, tmp_path,
+                                       capsys):
+    data = json.loads(open(equality_pipeline_plan).read())
+    del data["k"]
+    plan = tmp_path / "no_k.json"
+    plan.write_text(json.dumps(data))
+    _one_line_usage_error(["verify", str(plan)], capsys)
+
+
+def test_two_field_triplet_is_usage_error(tmp_path, capsys):
+    cert = tmp_path / "short.json"
+    cert.write_text(json.dumps({"kind": "filtering", "k": 5, "ell": 2,
+                                "triplets": [[5, 2]]}))
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"k": 5, "edges": []}))
+    _one_line_usage_error(["validate", str(cert), "--graph", str(graph)],
+                          capsys)
+
+
+def test_graph_without_edges_is_usage_error(nine_party_files, tmp_path,
+                                            capsys):
+    cert, _ = nine_party_files
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"k": 9}))
+    _one_line_usage_error(["validate", cert, "--graph", str(graph)], capsys)

@@ -1,0 +1,146 @@
+"""Compiled transcripts: bit-for-bit pins, and a seeded fault that the
+verifier must catch.
+
+Each pinned digest is a SHA-256 over the full-domain transcripts of one
+compiled acceptance configuration: (round, sender, recipient, payload) of
+every record plus the outputs.  Framing tags and protocol indices are left
+out, so a change of framing that keeps the bits keeps the digest.  A
+refactor of the compilers must leave every digest unchanged.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from nofmux import (
+    BindingTriplet, InputMatrix, Model, NofmuxError, Outgoing, Permutation,
+    ProtocolSpec, TruthTable, compile_symmetric, domain_size,
+    example3_filtering_triplets, example3_graph, example3_protocol,
+    exhaustive_verify, multiplex_combine, myopic_combine, myopic_eq_chain,
+    run_protocol,
+)
+from nofmux.cli import chained_equality_plan, forwarding_pipeline_plan
+
+
+def transcript_digest(spec) -> str:
+    h = hashlib.sha256()
+    for idx in range(domain_size(spec.k, spec.n, spec.ell)):
+        x = InputMatrix.from_index(idx, spec.k, spec.n, spec.ell)
+        t = run_protocol(spec, x)
+        line = ";".join(f"{r.round},{r.sender},{r.recipient},{r.payload}"
+                        for r in t.records)
+        outs = ",".join(f"{i}={b}" for i, b in sorted(t.outputs.items()))
+        h.update(f"{line}|{outs}\n".encode())
+    return h.hexdigest()
+
+
+def _wide_chain(pi):
+    """An equality chain whose position 2 sends its bit twice, so the block
+    it shares with a one-bit message is ragged."""
+    base = myopic_eq_chain(5, 1, pi)
+
+    def next_message(p, t, views, inbox, board):
+        outs = base.next_message(p, t, views, inbox, board)
+        if t == 2 and outs:
+            return [Outgoing(outs[0].recipient, outs[0].payload * 2)]
+        if t == 3 and p == pi(3):
+            step = int(views[1][pi(2)] == views[1][pi(4)])
+            bit = int(inbox[-1].payload[:1]) & step
+            return [Outgoing(pi(4), str(bit))]
+        return outs
+
+    return ProtocolSpec(
+        name="wide", model=Model.MYOPIC, k=5, n=1, ell=1, rounds=4,
+        next_message=next_message, output_party=pi(5), chain=pi.image,
+        output_rule=base.output_rule)
+
+
+def _forwarding():
+    plan, _ = forwarding_pipeline_plan(n=1)
+    return multiplex_combine(plan)
+
+
+def _equality():
+    spec, _, _ = compile_symmetric(
+        example3_protocol(5, 1), TruthTable.eq(5, 1), example3_graph(5),
+        example3_filtering_triplets(5), ell=2)
+    return spec
+
+
+def _chained():
+    plan = chained_equality_plan(n=1)
+    return myopic_combine(plan.protocols, plan.perms, plan.certificate)
+
+
+def _ragged():
+    perms = (Permutation((1, 2, 3, 4, 5)), Permutation((4, 2, 5, 1, 3)))
+    protos = (_wide_chain(perms[0]), myopic_eq_chain(5, 1, perms[1]))
+    return myopic_combine(protos, perms,
+                          (BindingTriplet(2, 2, frozenset({1, 2})),))
+
+
+def _single_chain():
+    pi = Permutation((1, 2, 3, 4))
+    return myopic_combine((myopic_eq_chain(4, 1, pi),), (pi,), ())
+
+
+# Computed with the two separate combiners that the shared engine replaced.
+PINNED = {
+    "t1-forwarding-n1": (
+        _forwarding,
+        "050fd0a981a541a86e399ff32fa781ab3f74c22a6504cd53f12f60d07a589d8d"),
+    "t2-equality-k5-ell2": (
+        _equality,
+        "2b891854e91009a32b852b36b44c8d104ac58b8ca1065ba863aebd3a22a1a971"),
+    "t3-chained-equality": (
+        _chained,
+        "d40f65c19326589f967bb3704067af9a613d04f74bae7a5527e45b20ee4102cc"),
+    "t3-ragged-lengths": (
+        _ragged,
+        "18f2e3e5938fe1069660c25cf7d1eac3b7f03d40f49bb9ba0dd4483e92ac4868"),
+    "t3-single-chain": (
+        _single_chain,
+        "ebce0d81562e6dbfd1ca5a7cab193f9c36d28ec993fea9667101a7386fe95a85"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_compiled_transcripts_match_pins(name):
+    build, want = PINNED[name]
+    assert transcript_digest(build()) == want
+
+
+def flip_block_bit(spec, flips):
+    """``spec`` with the first bit of each XOR block flipped.  Blocks are
+    the board writes that carry no instance index; ``flips`` records the
+    (round, sender) of each."""
+    def next_message(p, t, views, inbox, board):
+        outs = list(spec.next_message(p, t, views, inbox, board))
+        for i, o in enumerate(outs):
+            if o.protocol is None and o.payload:
+                flipped = "1" if o.payload[0] == "0" else "0"
+                outs[i] = dataclasses.replace(o, payload=flipped
+                                              + o.payload[1:])
+                flips.append((t, p))
+        return outs
+
+    return dataclasses.replace(spec, next_message=next_message)
+
+
+@pytest.mark.parametrize("build", [_equality, _chained],
+                         ids=["t2-equality", "t3-chained-equality"])
+def test_flipped_block_bit_is_caught(build):
+    """The verifier is not vacuous: one flipped bit in the one XOR block
+    of each run must give a counterexample or a NofmuxError."""
+    flips = []
+    faulty = flip_block_bit(build(), flips)
+    try:
+        report = exhaustive_verify(faulty, TruthTable.eq(5, 1))
+    except NofmuxError:
+        caught = True
+    else:
+        caught = not report.correct
+    assert flips, "the compiled protocol wrote no XOR block"
+    assert len(set(flips)) == 1, "expected one block per run"
+    assert caught

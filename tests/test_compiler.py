@@ -299,6 +299,15 @@ def test_myopic_ragged_lengths_are_padded_and_decoded():
     assert report.measured_worst_payload == 6
 
 
+def test_myopic_combiner_declares_pattern_of_oblivious_chains():
+    """Oblivious chains give a compiled pattern, checked on every input."""
+    plan = chained_equality_plan(n=1)
+    compiled = myopic_combine(plan.protocols, plan.perms, plan.certificate)
+    assert compiled.pattern is not None
+    assert compiled.pattern.total_bits() == 7
+    assert measure_cost(compiled).worst_case_bits == 7
+
+
 def test_myopic_combiner_rejects_chain_mismatch():
     plan = chained_equality_plan(n=1)
     with pytest.raises(DomainError):

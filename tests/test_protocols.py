@@ -166,4 +166,5 @@ def test_all_builtins_pass_bit_flip_legality():
 
 def test_family_registry_names():
     assert set(FAMILIES) == {"lemma1", "corollary1", "eq2", "eq-multi",
-                             "example1", "example3", "myopic-eq"}
+                             "example1", "example1-variant", "example3",
+                             "myopic-eq"}
