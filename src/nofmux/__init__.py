@@ -15,13 +15,13 @@ from .compiler import (
     multiplex_combine, myopic_combine, permute_protocol, predicted_bound,
 )
 from .core import (
-    BOARD, BudgetError, CertificateError, CommPattern, CostReport,
+    BOARD, BudgetError, CertificateError, CommPattern,
     DEFAULT_BUDGET, DeterminismError, DomainError, InputMatrix,
     LegalityError, MessageRecord, Model, NofmuxError, ObliviousnessError,
     Outgoing, ProtocolSpec, RestrictionGraph, RobustnessError,
     SoundnessError, Transcript, TruthTable, View, bits_to_int,
     board_outputs, check_replay_determinism, check_symmetry, compute_view,
-    domain_size, enumerate_inputs, int_to_bits, measure_cost, run_protocol,
+    domain_size, enumerate_inputs, int_to_bits, run_protocol,
     xor_bits,
 )
 from .protocols import (
@@ -31,8 +31,8 @@ from .protocols import (
     example3_protocol, lemma1_protocol, myopic_eq_chain,
 )
 from .verifier import (
-    Counterexample, VerificationReport, check_prefix_free,
-    check_view_legality, exhaustive_verify, is_prefix_free,
+    CostReport, Counterexample, VerificationReport, check_prefix_free,
+    check_view_legality, exhaustive_verify, is_prefix_free, measure_cost,
     messages_at_position, oracle_evaluate, random_truth_table,
     sampled_verify,
 )

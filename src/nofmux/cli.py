@@ -26,7 +26,7 @@ from .compiler import (
 )
 from .core import (
     DEFAULT_BUDGET, DomainError, NofmuxError, ProtocolSpec, RestrictionGraph,
-    TruthTable, domain_size, enumerate_inputs, measure_cost,
+    TruthTable, domain_size,
 )
 from .protocols import (
     corollary1_protocol, eq_multi_protocol, eq_two_bit_protocol,
@@ -35,7 +35,8 @@ from .protocols import (
     example3_protocol, lemma1_protocol, myopic_eq_chain,
 )
 from .verifier import (
-    check_view_legality, exhaustive_verify, random_truth_table,
+    check_view_legality, exhaustive_verify, measure_cost, random_truth_table,
+    sweep,
 )
 
 USAGE_ERROR = 2
@@ -57,13 +58,13 @@ def _load_json(path: str):
 
 @contextmanager
 def _fields_of(what: str):
-    """Report a missing or ill-typed field of an input file as a usage
-    error instead of a traceback."""
+    """Report a missing, ill-typed or out-of-range field of an input file
+    as a usage error instead of a traceback or a failed assertion."""
     try:
         yield
     except KeyError as exc:
         raise SystemExit(f"error: {what} has no field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DomainError) as exc:
         raise SystemExit(f"error: malformed {what}: {exc}") from None
 
 
@@ -134,8 +135,12 @@ def _load_plan(path: str, budget: int):
         theorem_path = data["path"]
         k, n, ell = int(data["k"]), int(data["n"]), int(data["ell"])
         f = _resolve_function(data.get("function", {}), k, n)
-        _, _, _, triplets, cert_perms = _resolve_certificate(
+        _, cert_k, cert_ell, triplets, cert_perms = _resolve_certificate(
             data["certificate"])
+        if (cert_k, cert_ell) != (k, ell):
+            raise DomainError(f"certificate declares k={cert_k}, "
+                              f"ell={cert_ell}; the plan has k={k}, "
+                              f"ell={ell}")
         if theorem_path == "t2":
             graph = _resolve_graph(data["graph"], k)
             base = _build_protocol(data["protocol"], k, n, f, ell)
@@ -511,8 +516,7 @@ def _legality_configs():
 def _check_obliviousness_legality(budget):
     tried = 0
     for spec in _legality_configs():
-        measure_cost(spec, budget)  # pattern conformance on every input
-        for x in enumerate_inputs(spec.k, spec.n, spec.ell):
+        for x, _ in sweep(spec, budget=budget):  # checks the pattern
             check_view_legality(spec, x)
         tried += 1
     return True, (f"{tried} built-in configurations pass pattern "

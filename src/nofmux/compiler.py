@@ -21,12 +21,13 @@ from .combinatorics import (
 )
 from .core import (
     BOARD, BudgetError, CertificateError, CommPattern, DEFAULT_BUDGET,
-    DomainError, InputMatrix, LegalityError, MessageRecord, Model,
-    ObliviousnessError, Outgoing, ProtocolSpec, RestrictionGraph,
-    RobustnessError, SoundnessError, TruthTable, View, board_outputs,
-    check_symmetry, domain_size, enumerate_inputs, run_protocol, xor_bits,
+    DomainError, LegalityError, MessageRecord, Model, ObliviousnessError,
+    Outgoing, ProtocolSpec, RestrictionGraph, RobustnessError,
+    SoundnessError, TruthTable, View, board_outputs, check_symmetry,
+    domain_size, xor_bits,
+    run_protocol,  # not called here: bench/tracing.py patches it as a span
 )
-from .verifier import check_prefix_free
+from .verifier import check_prefix_free, exhaustive_verify, position_table
 
 
 class Bound(NamedTuple):
@@ -340,15 +341,10 @@ def compile_symmetric(spec: ProtocolSpec, f: TruthTable,
     if spec.model is not Model.NOF_GRAPH or spec.ell != 1:
         raise DomainError("base protocol must be single-instance "
                           "point-to-point")
-    size = domain_size(spec.k, spec.n, 1)
-    if size > budget:
-        raise BudgetError(f"verifying the base protocol needs {size} runs")
-    for x in enumerate_inputs(spec.k, spec.n, 1):
-        got = run_protocol(spec, x).outputs[1]
-        want = f.values[x.index]
-        if got != want:
-            raise DomainError(
-                f"base protocol disagrees with f at input index {x.index}")
+    report = exhaustive_verify(spec, f, budget=budget)
+    if not report.correct:
+        raise DomainError(f"base protocol disagrees with f at input index "
+                          f"{report.counterexample.input_index}")
     matrix = build_matrix_a(graph, ell, triplets)
     protos = tuple(
         spec if row.is_identity() else permute_protocol(spec, row)
@@ -455,17 +451,8 @@ def _theorem3_bound(plan: CompilationPlan, budget: int) -> Bound:
         raise BudgetError(
             f"the t3 bound enumerates {single ** ell} inputs, budget is "
             f"{budget}")
-    costs = []  # costs[u-1][idx][pos-1]
-    for q in plan.protocols:
-        per_input = []
-        for idx in range(single):
-            x = InputMatrix.from_index(idx, k, n, 1)
-            transcript = run_protocol(q, x)
-            vec = [0] * (k - 1)
-            for r in transcript.records:
-                vec[r.round - 1] += len(r.payload)
-            per_input.append(vec)
-        costs.append(per_input)
+    costs = [[[len(w) for w in words] for words in position_table(q, budget)]
+             for q in plan.protocols]  # costs[u-1][idx][pos-1]
     worst = 0
     for combo in itertools.product(range(single), repeat=ell):
         total = sum(sum(costs[u][combo[u]]) for u in range(ell))

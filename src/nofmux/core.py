@@ -1,4 +1,4 @@
-"""Protocol models, deterministic execution and cost accounting.
+"""Protocol models, deterministic execution and communication patterns.
 
 Three models are supported:
 
@@ -435,14 +435,6 @@ class Transcript:
                    if not (r.tag or "").startswith("out:"))
 
 
-@dataclass(frozen=True)
-class CostReport:
-    worst_case_bits: int
-    channel_matrix: Mapping[tuple[int, int], int]
-    per_round: Mapping[int, int]
-    domain_size: int
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -547,34 +539,6 @@ def assert_pattern(spec: ProtocolSpec, x: InputMatrix,
         raise ObliviousnessError(
             f"protocol {spec.name} violates its pattern on input "
             f"index {x.index}: realized {_realized_lengths(transcript)}")
-
-
-def measure_cost(spec: ProtocolSpec, budget: int = DEFAULT_BUDGET) -> CostReport:
-    """Worst-case bit cost and per-channel matrix over the full input domain.
-
-    If the protocol declares a pattern, every input is checked against it.
-    """
-    size = domain_size(spec.k, spec.n, spec.ell)
-    if size > budget:
-        raise BudgetError(
-            f"domain has {size} inputs, budget is {budget}; pass a larger "
-            f"budget explicitly to proceed")
-    worst = 0
-    channels: dict[tuple[int, int], int] = {}
-    per_round: dict[int, int] = {}
-    for x in enumerate_inputs(spec.k, spec.n, spec.ell):
-        t = run_protocol(spec, x)
-        if spec.pattern is not None:
-            assert_pattern(spec, x, t)
-        worst = max(worst, t.total_bits)
-        for key, bits in t.channel_totals().items():
-            channels[key] = max(channels.get(key, 0), bits)
-        rounds: dict[int, int] = {}
-        for r in t.records:
-            rounds[r.round] = rounds.get(r.round, 0) + len(r.payload)
-        for rnd, bits in rounds.items():
-            per_round[rnd] = max(per_round.get(rnd, 0), bits)
-    return CostReport(worst, channels, per_round, size)
 
 
 def check_symmetry(f: TruthTable, pi: Sequence[int] | None = None) -> bool:

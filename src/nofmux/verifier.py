@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import (
     BudgetError, DEFAULT_BUDGET, DomainError, InputMatrix, Model,
     ProtocolSpec, Transcript, TruthTable, assert_pattern, bits_to_int,
-    domain_size, enumerate_inputs, run_protocol,
+    domain_size, run_protocol,
 )
 
 
@@ -97,6 +97,41 @@ class VerificationReport:
             json.dump(self.to_json(), fh, indent=2, sort_keys=True)
 
 
+@dataclass(frozen=True)
+class CostReport:
+    worst_case_bits: int
+    channel_matrix: Mapping[tuple[int, int], int]
+    per_round: Mapping[int, int]
+    domain_size: int
+
+
+def _domain(spec: ProtocolSpec, budget: int) -> range:
+    """The whole input domain; more than ``budget`` inputs raise
+    BudgetError.  This is the budget guard of every protocol sweep."""
+    size = domain_size(spec.k, spec.n, spec.ell)
+    if size > budget:
+        raise BudgetError(f"sweeping {spec.name} needs {size} runs, "
+                          f"budget is {budget}; pass a larger budget "
+                          f"explicitly to proceed")
+    return range(size)
+
+
+def sweep(spec: ProtocolSpec, indices: Iterable[int] | None = None,
+          budget: int = DEFAULT_BUDGET
+          ) -> Iterator[tuple[InputMatrix, Transcript]]:
+    """Run the protocol on each input index, the whole domain (guarded by
+    ``budget``) by default, and yield ``(x, transcript)``; every run is
+    checked against the declared pattern, if any."""
+    if indices is None:
+        indices = _domain(spec, budget)
+    for idx in indices:
+        x = InputMatrix.from_index(idx, spec.k, spec.n, spec.ell)
+        t = run_protocol(spec, x)
+        if spec.pattern is not None:
+            assert_pattern(spec, x, t)
+        yield x, t
+
+
 @dataclass
 class _Partial:
     """Mergeable accumulation over a contiguous slice of the domain."""
@@ -106,13 +141,17 @@ class _Partial:
     channels: dict = field(default_factory=dict)
     counterexample: Counterexample | None = None
 
-    def absorb(self, x: InputMatrix, t: Transcript,
-               expected: tuple[int, ...]) -> bool:
+    def tally(self, t: Transcript) -> None:
+        """Worst-case and per-channel cost accounting of one run."""
         self.checked += 1
         self.worst = max(self.worst, t.total_bits)
         self.worst_payload = max(self.worst_payload, t.payload_bits())
         for key, bits in t.channel_totals().items():
             self.channels[key] = max(self.channels.get(key, 0), bits)
+
+    def absorb(self, x: InputMatrix, t: Transcript,
+               expected: tuple[int, ...]) -> bool:
+        self.tally(t)
         for inst in range(1, x.ell + 1):
             if t.outputs[inst] != expected[inst - 1]:
                 self.counterexample = Counterexample(
@@ -130,16 +169,43 @@ class _Partial:
             self.counterexample = other.counterexample
         return self
 
+    def report(self, spec: ProtocolSpec, predicted_bound: int | None,
+               naive_baseline: int | None, exhaustive: bool
+               ) -> VerificationReport:
+        return VerificationReport(
+            protocol_name=spec.name,
+            domain_size=domain_size(spec.k, spec.n, spec.ell),
+            checked=self.checked, correct=self.counterexample is None,
+            counterexample=self.counterexample,
+            measured_worst_case=self.worst,
+            measured_worst_payload=self.worst_payload,
+            predicted_bound=predicted_bound, per_channel=dict(self.channels),
+            naive_baseline=naive_baseline, exhaustive=exhaustive)
 
-def verify_range(spec: ProtocolSpec, f: TruthTable,
-                 lo: int, hi: int) -> _Partial:
-    """Verify input indices [lo, hi); stops at the first counterexample."""
+
+def measure_cost(spec: ProtocolSpec, budget: int = DEFAULT_BUDGET) -> CostReport:
+    """Worst-case bit cost and per-channel matrix over the full input domain.
+
+    If the protocol declares a pattern, every input is checked against it.
+    """
+    part, per_round = _Partial(), {}
+    for _, t in sweep(spec, budget=budget):
+        part.tally(t)
+        rounds: dict[int, int] = {}
+        for r in t.records:
+            rounds[r.round] = rounds.get(r.round, 0) + len(r.payload)
+        for rnd, bits in rounds.items():
+            per_round[rnd] = max(per_round.get(rnd, 0), bits)
+    return CostReport(part.worst, part.channels, per_round,
+                      domain_size(spec.k, spec.n, spec.ell))
+
+
+def verify_range(f: TruthTable,
+                 runs: Iterable[tuple[InputMatrix, Transcript]]) -> _Partial:
+    """Check swept runs against the oracle; stops at the first
+    counterexample."""
     part = _Partial()
-    for idx in range(lo, hi):
-        x = InputMatrix.from_index(idx, spec.k, spec.n, spec.ell)
-        t = run_protocol(spec, x)
-        if spec.pattern is not None:
-            assert_pattern(spec, x, t)
+    for x, t in runs:
         if not part.absorb(x, t, oracle_evaluate(f, x)):
             break
     return part
@@ -157,28 +223,14 @@ def exhaustive_verify(spec: ProtocolSpec, f: TruthTable,
     """
     if f.k != spec.k or f.n != spec.n:
         raise DomainError("truth table shape does not match the protocol")
-    size = domain_size(spec.k, spec.n, spec.ell)
-    if size > budget:
-        raise BudgetError(
-            f"exhaustive verification needs {size} runs, budget is {budget}")
+    domain = _domain(spec, budget)
+    step = -(-len(domain) // max(partitions, 1))
     total = _Partial()
-    step = -(-size // max(partitions, 1))
-    for lo in range(0, size, step):
-        total.merge(verify_range(spec, f, lo, min(lo + step, size)))
+    for lo in range(0, len(domain), step):
+        total.merge(verify_range(f, sweep(spec, domain[lo:lo + step])))
         if total.counterexample is not None:
             break
-    return VerificationReport(
-        protocol_name=spec.name,
-        domain_size=size,
-        checked=total.checked,
-        correct=total.counterexample is None,
-        counterexample=total.counterexample,
-        measured_worst_case=total.worst,
-        measured_worst_payload=total.worst_payload,
-        predicted_bound=predicted_bound,
-        per_channel=dict(total.channels),
-        naive_baseline=naive_baseline,
-    )
+    return total.report(spec, predicted_bound, naive_baseline, exhaustive=True)
 
 
 def sampled_verify(spec: ProtocolSpec, f: TruthTable, samples: int, seed: int,
@@ -187,23 +239,22 @@ def sampled_verify(spec: ProtocolSpec, f: TruthTable, samples: int, seed: int,
     """Seeded random sampling; the report is labeled non-exhaustive."""
     rng = random.Random(seed)
     size = domain_size(spec.k, spec.n, spec.ell)
-    part = _Partial()
-    for _ in range(samples):
-        x = InputMatrix.from_index(rng.randrange(size), spec.k, spec.n,
-                                   spec.ell)
-        t = run_protocol(spec, x)
-        if spec.pattern is not None:
-            assert_pattern(spec, x, t)
-        if not part.absorb(x, t, oracle_evaluate(f, x)):
-            break
-    return VerificationReport(
-        protocol_name=spec.name, domain_size=size, checked=part.checked,
-        correct=part.counterexample is None,
-        counterexample=part.counterexample,
-        measured_worst_case=part.worst,
-        measured_worst_payload=part.worst_payload,
-        predicted_bound=predicted_bound, per_channel=dict(part.channels),
-        naive_baseline=naive_baseline, exhaustive=False)
+    indices = [rng.randrange(size) for _ in range(samples)]
+    part = verify_range(f, sweep(spec, indices))
+    return part.report(spec, predicted_bound, naive_baseline, exhaustive=False)
+
+
+def position_table(spec: ProtocolSpec,
+                   budget: int) -> Iterator[tuple[str, ...]]:
+    """Yield, for each input of a myopic chain in index order, the concatenated
+    payloads of rounds 1..k-1.  Only round t's speaker, position t, may
+    carry bits, so entry t-1 is position t's message."""
+    for _, t in sweep(spec, budget=budget):
+        words = [""] * (spec.k - 1)
+        for r in t.records:
+            if r.payload:
+                words[r.round - 1] += r.payload
+        yield tuple(words)
 
 
 def messages_at_position(spec: ProtocolSpec, pos: int,
@@ -213,17 +264,7 @@ def messages_at_position(spec: ProtocolSpec, pos: int,
         raise DomainError("position messages are defined for myopic chains")
     if not (1 <= pos <= spec.k - 1):
         raise DomainError(f"position {pos} outside [1,{spec.k - 1}]")
-    size = domain_size(spec.k, spec.n, spec.ell)
-    if size > budget:
-        raise BudgetError(f"enumerating {size} inputs exceeds budget {budget}")
-    seen = set()
-    for x in enumerate_inputs(spec.k, spec.n, spec.ell):
-        payload = ""
-        for r in run_protocol(spec, x).records:
-            if r.round == pos:
-                payload = r.payload
-        seen.add(payload)
-    return frozenset(seen)
+    return frozenset(words[pos - 1] for words in position_table(spec, budget))
 
 
 def is_prefix_free(messages: frozenset[str]) -> bool:

@@ -202,3 +202,29 @@ def test_graph_without_edges_is_usage_error(nine_party_files, tmp_path,
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({"k": 9}))
     _one_line_usage_error(["validate", cert, "--graph", str(graph)], capsys)
+
+
+def test_out_of_range_triplet_is_usage_error(tmp_path, capsys):
+    cert = tmp_path / "pos0.json"
+    cert.write_text(json.dumps({
+        "kind": "repetitive", "k": 5, "ell": 2,
+        "triplets": [[0, 2, [1, 2]]],
+        "permutations": [[1, 2, 3, 4, 5], [4, 2, 5, 1, 3]],
+    }))
+    _one_line_usage_error(["validate", str(cert)], capsys)
+
+
+def test_certificate_shape_must_match_plan(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "path": "t3", "k": 5, "n": 1, "ell": 2,
+        "function": {"kind": "eq"},
+        "protocols": [{"family": "myopic-eq", "pi": [1, 2, 3, 4, 5]},
+                      {"family": "myopic-eq", "pi": [4, 2, 5, 1, 3]}],
+        "certificate": {
+            "kind": "repetitive", "k": 9, "ell": 7,
+            "triplets": [[2, 2, [1, 2]]],
+            "permutations": [[1, 2, 3, 4, 5], [4, 2, 5, 1, 3]],
+        },
+    }))
+    _one_line_usage_error(["verify", str(plan)], capsys)

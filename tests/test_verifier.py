@@ -1,5 +1,6 @@
 """Oracle and verification-harness tests."""
 
+import dataclasses
 import itertools
 import random
 
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nofmux import (
-    BOARD, BudgetError, DomainError, InputMatrix, Model, Outgoing,
-    Permutation, ProtocolSpec, TruthTable, bits_to_int, board_outputs,
-    check_prefix_free, check_view_legality, domain_size, eq_two_bit_protocol,
-    exhaustive_verify, is_prefix_free, lemma1_protocol, messages_at_position,
+    BOARD, DEFAULT_BUDGET, BudgetError, CommPattern, DomainError, InputMatrix,
+    Model, ObliviousnessError, Outgoing, Permutation, ProtocolSpec,
+    TruthTable, bits_to_int, board_outputs, check_prefix_free,
+    check_view_legality, domain_size, eq_two_bit_protocol, exhaustive_verify,
+    is_prefix_free, lemma1_protocol, measure_cost, messages_at_position,
     myopic_eq_chain, oracle_evaluate, random_truth_table, sampled_verify,
 )
 
@@ -160,6 +162,53 @@ def test_chain_messages_and_prefix_freeness():
         messages_at_position(spec, 5)
     with pytest.raises(DomainError):
         messages_at_position(eq_two_bit_protocol(3, 1), 1)
+
+
+def test_position_messages_survive_a_later_empty_record():
+    """Party 5 writes an empty record to party 1 in every round; it sorts
+    after the position-2 message and must not replace it."""
+    chain = myopic_eq_chain(5, 1, Permutation.identity(5))
+
+    def next_message(p, t, views, inbox, board):
+        extra = [Outgoing(1, "")] if p == 5 else []
+        return list(chain.next_message(p, t, views, inbox, board)) + extra
+
+    spec = dataclasses.replace(chain, next_message=next_message)
+    assert messages_at_position(spec, 2) == {"0", "1"}
+
+
+# ---------------------------------------------------------------------------
+# the one sweep guard
+# ---------------------------------------------------------------------------
+
+_EQ5 = TruthTable.eq(5, 1)
+
+# each public sweep, called on a k=5 myopic chain; sampled_verify has no
+# budget, because its sample count is the caller's own request
+SWEEPS = {
+    "measure_cost": lambda spec, budget=DEFAULT_BUDGET: measure_cost(
+        spec, budget),
+    "exhaustive_verify": lambda spec, budget=DEFAULT_BUDGET: exhaustive_verify(
+        spec, _EQ5, budget=budget),
+    "sampled_verify": lambda spec: sampled_verify(spec, _EQ5, samples=8,
+                                                  seed=0),
+    "messages_at_position": lambda spec, budget=DEFAULT_BUDGET:
+        messages_at_position(spec, 2, budget),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_every_sweep_guards_its_budget_and_checks_the_pattern(name):
+    chain = myopic_eq_chain(5, 1, Permutation.identity(5))
+    SWEEPS[name](chain)
+    if name != "sampled_verify":
+        with pytest.raises(BudgetError):
+            SWEEPS[name](chain, 31)
+    # the chain sends one bit at positions 2-4, not two at position 2
+    wrong = dataclasses.replace(chain,
+                                pattern=CommPattern({(2, 2, 3): 2}, 4))
+    with pytest.raises(ObliviousnessError):
+        SWEEPS[name](wrong)
 
 
 # ---------------------------------------------------------------------------
