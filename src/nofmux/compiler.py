@@ -27,7 +27,7 @@ from .core import (
     domain_size, xor_bits,
     run_protocol,  # not called here: bench/tracing.py patches it as a span
 )
-from .verifier import check_prefix_free, exhaustive_verify, position_table
+from .verifier import _position_sweep, check_prefix_free, exhaustive_verify
 
 
 class Bound(NamedTuple):
@@ -72,23 +72,26 @@ def permute_protocol(spec: ProtocolSpec, pi: Permutation) -> ProtocolSpec:
     if pi.k != spec.k:
         raise DomainError("permutation arity mismatch")
     from .combinatorics import permute_graph
-    inv = pi.inverse()
     graph = permute_graph(spec.graph, pi)
+    to_orig = (0,) + pi.inverse().image
+    # original party -> (q, pi(q)) for each q it sees
+    sees = {orig: tuple((q, pi(q)) for q in spec.graph.neighbors(orig))
+            for orig in range(1, spec.k + 1)}
 
     def original_state(orig, views, inbox):
-        view = View(orig, {q: views[1][pi(q)]
-                           for q in spec.graph.neighbors(orig)})
-        sub_inbox = tuple(
-            MessageRecord(r.round, inv(r.sender), orig, r.payload,
+        view = views[1]._project(orig, sees[orig])
+        if not inbox:
+            return {1: view}, ()
+        return {1: view}, tuple(
+            MessageRecord(r.round, to_orig[r.sender], orig, r.payload,
                           r.protocol, r.tag) for r in inbox)
-        return {1: view}, sub_inbox
 
     def next_message(p, t, views, inbox, board):
-        orig = inv(p)
+        orig = to_orig[p]
         sub_views, sub_inbox = original_state(orig, views, inbox)
+        outs = spec.next_message(orig, t, sub_views, sub_inbox, None)
         return [Outgoing(pi(o.recipient), o.payload, o.protocol, o.tag)
-                for o in spec.next_message(orig, t, sub_views, sub_inbox,
-                                           None)]
+                for o in outs] if outs else []
 
     def output_rule(views, inbox, board):
         sub_views, sub_inbox = original_state(spec.output_party, views, inbox)
@@ -115,16 +118,9 @@ def check_pattern_robust(base: ProtocolSpec, other: ProtocolSpec,
 # the XOR-multiplexing engine shared by every theorem path
 # ---------------------------------------------------------------------------
 
-def _untag(tag: str | None) -> tuple[str | None, int]:
-    """Split a framing tag ``to:<recipient>``, ``mux:<group>`` or
-    ``out:<instance>`` into its kind and number."""
-    if not tag:
-        return None, 0
-    kind, _, value = tag.partition(":")
-    return kind, int(value)
-
-
 def _tag(kind: str, value: int) -> str:
+    """A framing tag: ``to:<recipient>``, ``mux:<group>`` or
+    ``out:<instance>``."""
     return f"{kind}:{value}"
 
 
@@ -146,32 +142,74 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
     With exact stripping (t1/t2) all components must fill the block; with
     ``prefix_decode`` (t3/c2) the recipient keeps the unique message, over
     the 2^n values of its own input, that prefixes the zero-padded rest.
+
+    The demux schedule is fixed here, once: which board records feed each
+    (instance, party) inbox, which instances each party runs in each round,
+    and which components each block recipient recomputes.
     """
     k, n, ell = protos[0].k, protos[0].n, len(protos)
-    seen = {(u, p): tuple(q.visibility().neighbors(p))
-            for u, q in enumerate(protos, start=1) for p in range(1, k + 1)}
-    # a myopic chain carries bits only from its position-t party in round t
-    speaker = {u: q.chain for u, q in enumerate(protos, start=1)
-               if q.model is Model.MYOPIC}
+    # (j, j) for each j whose input party p sees in instance u
+    pairs = {j: (j, j) for j in range(1, k + 1)}
+    reads = {}
+    for u, q in enumerate(protos, start=1):
+        graph = q.visibility()
+        for p in range(1, k + 1):
+            reads[u, p] = tuple(pairs[j] for j in graph.neighbors(p))
     consumed = {(u, g.sender, rcpt): gi for gi, g in enumerate(groups)
                 for (u, rcpt) in g.components}
+    # (protocol, tag) of a board record -> the (instance, party, group)
+    # inboxes it feeds; a plain record has no group
+    feeds = {(u, _tag("to", p)): ((u, p, None),)
+             for u in range(1, ell + 1) for p in range(1, k + 1)}
+    for gi, g in enumerate(groups):
+        feeds[None, _tag("mux", gi)] = tuple(
+            (u, p, gi) for u, p in dict.fromkeys(g.components))
+    # the components recipient ``p`` recomputes to strip block gi
+    others = {(gi, c): tuple(d for d in g.components if d != c)
+              for gi, g in enumerate(groups) for c in g.components}
+    # instances that party p runs in round t: all of them, except that a
+    # myopic chain carries bits only from its position-t party in round t
+    active = {(t, p): tuple(u for u, q in enumerate(protos, start=1)
+                            if q.model is not Model.MYOPIC
+                            or q.chain[t - 1] == p)
+              for t in range(1, rounds + 1) for p in range(1, k + 1)}
+    answers = {p: tuple(u for u, q in enumerate(protos, start=1)
+                        if q.output_party == p) for p in range(1, k + 1)}
     words = ["".join(b) for b in itertools.product("01", repeat=n)]
+    last = (None, {})  # the last board indexed, and its index
+
+    def index(board):
+        """(instance, party) -> [(record, group)] in board order.  A board
+        is immutable, so its index is kept until the next board."""
+        nonlocal last
+        known = last
+        if known[0] is not board:
+            fed: dict[tuple[int, int], list] = {}
+            for r in board:
+                for u, p, gi in feeds.get((r.protocol, r.tag), ()):
+                    fed.setdefault((u, p), []).append((r, gi))
+            last = known = (board, fed)
+        return known[1]
 
     def sub_view(party, u, views, guess=None):
         """``party``'s view of instance u, read from the working party's
         views; ``guess`` = (j, word) stands in for the hidden x_j."""
+        view = views[u]
         try:
-            return View(party, {q: guess[1] if guess and q == guess[0]
-                                else views[u][q] for q in seen[u, party]})
+            if guess is None:
+                return view._project(party, reads[u, party])
+            j, word = guess
+            return View(party, {q: word if q == j else view[q]
+                                for q, _ in reads[u, party]})
         except LegalityError as exc:
             raise SoundnessError(
                 f"reconstruction needs an input hidden from the "
                 f"demultiplexing party: {exc}") from exc
 
-    def recompute(u, sender, recipient, rnd, board, views, guess=None):
+    def recompute(u, sender, recipient, rnd, fed, views, guess=None):
         """Instance u's round-``rnd`` message sender -> recipient, as the
         demultiplexing party recomputes it."""
-        history = inbox(sender, u, rnd, board, views, demux=False)
+        history = inbox(sender, u, rnd, fed, views)
         for o in protos[u - 1].next_message(
                 sender, rnd, {1: sub_view(sender, u, views, guess)},
                 history, None):
@@ -179,15 +217,12 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
                 return o.payload
         return ""
 
-    def strip(party, u, block, gi, board, views):
+    def strip(party, u, block, gi, fed, views):
         """``party``'s own instance-u message out of a block."""
-        group, width = groups[gi], len(block.payload)
+        sender, width = groups[gi].sender, len(block.payload)
         rest = block.payload
-        for (u2, rcpt2) in group.components:
-            if (u2, rcpt2) == (u, party):
-                continue
-            other = recompute(u2, group.sender, rcpt2, block.round, board,
-                              views)
+        for (u2, rcpt2) in others[gi, (u, party)]:
+            other = recompute(u2, sender, rcpt2, block.round, fed, views)
             if len(other) > width or (not prefix_decode
                                       and len(other) != width):
                 raise SoundnessError("combined messages have unequal "
@@ -195,8 +230,8 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
             rest = xor_bits(rest, other.ljust(width, "0"))
         if not prefix_decode:
             return rest
-        candidates = {recompute(u, group.sender, party, block.round, board,
-                                views, guess=(party, w)) for w in words}
+        candidates = {recompute(u, sender, party, block.round, fed, views,
+                                guess=(party, w)) for w in words}
         matches = [c for c in candidates if rest.startswith(c)]
         if len(matches) != 1:
             raise SoundnessError(
@@ -205,47 +240,51 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
             raise SoundnessError("nonzero bits past the decoded message")
         return matches[0]
 
-    def inbox(party, u, upto, board, views, demux):
+    def inbox(party, u, upto, fed, views, demux=None):
         """Messages ``party`` received in instance u before round
-        ``upto``; XOR blocks are stripped only when ``demux`` allows."""
+        ``upto``; XOR blocks are stripped only when ``demux`` (``strip``)
+        is given.  It is passed, not called by name, so the closures hold
+        no reference cycle and a dropped compiled spec is freed at once."""
+        entries = fed.get((u, party))
+        if not entries:
+            return ()
         msgs = []
-        for r in board:
+        for r, gi in entries:
             if r.round >= upto:
                 break
-            kind, value = _untag(r.tag)
-            if kind == "to" and r.protocol == u and value == party:
+            if gi is None:
                 msgs.append(MessageRecord(r.round, r.sender, party,
                                           r.payload))
-            elif kind == "mux" and (u, party) in groups[value].components:
-                if not demux:
-                    raise SoundnessError(
-                        f"history of party {party} in instance {u} was "
-                        f"multiplexed; certificate should forbid this")
-                msgs.append(MessageRecord(
-                    r.round, groups[value].sender, party,
-                    strip(party, u, r, value, board, views)))
+                continue
+            if not demux:
+                raise SoundnessError(
+                    f"history of party {party} in instance {u} was "
+                    f"multiplexed; certificate should forbid this")
+            msgs.append(MessageRecord(
+                r.round, groups[gi].sender, party,
+                demux(party, u, r, gi, fed, views)))
         return tuple(msgs)
 
     def next_message(p, t, views, board_inbox, board):
+        instances = answers[p] if t > rounds else active[t, p]
+        if not instances:
+            return []
+        fed = index(board)
         if t > rounds:
             outs = []
-            for u, q in enumerate(protos, start=1):
-                if q.output_party != p:
-                    continue
-                bits = q.output_rule({1: sub_view(p, u, views)},
-                                     inbox(p, u, t, board, views, demux=True),
-                                     None)
+            for u in instances:
+                bits = protos[u - 1].output_rule(
+                    {1: sub_view(p, u, views)},
+                    inbox(p, u, t, fed, views, strip), None)
                 outs.append(Outgoing(BOARD, str(bits[1]), protocol=u,
                                      tag=_tag("out", u)))
             return outs
         staged: dict[int, dict[tuple[int, int], str]] = {}
         results = []
-        for u, q in enumerate(protos, start=1):
-            if u in speaker and speaker[u][t - 1] != p:
-                continue
-            for o in q.next_message(p, t, {1: sub_view(p, u, views)},
-                                    inbox(p, u, t, board, views, demux=True),
-                                    None):
+        for u in instances:
+            history = inbox(p, u, t, fed, views, strip) if fed else ()
+            for o in protos[u - 1].next_message(
+                    p, t, {1: sub_view(p, u, views)}, history, None):
                 gi = consumed.get((u, p, o.recipient))
                 if gi is None:
                     results.append(Outgoing(BOARD, o.payload, protocol=u,
@@ -451,8 +490,8 @@ def _theorem3_bound(plan: CompilationPlan, budget: int) -> Bound:
         raise BudgetError(
             f"the t3 bound enumerates {single ** ell} inputs, budget is "
             f"{budget}")
-    costs = [[[len(w) for w in words] for words in position_table(q, budget)]
-             for q in plan.protocols]  # costs[u-1][idx][pos-1]
+    # costs[u-1][idx][pos-1], from the sweep the prefix checks share
+    costs = [_position_sweep(q, budget).costs for q in plan.protocols]
     worst = 0
     for combo in itertools.product(range(single), repeat=ell):
         total = sum(sum(costs[u][combo[u]]) for u in range(ell))

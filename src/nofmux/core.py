@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -86,7 +87,7 @@ def xor_bits(a: str, b: str) -> str:
 
 
 def _check_bits(payload: str) -> None:
-    if any(c not in "01" for c in payload):
+    if payload.strip("01"):
         raise DomainError(f"payload {payload!r} is not a bit string")
 
 
@@ -282,6 +283,18 @@ class View:
     def __contains__(self, party: int) -> bool:
         return party in self._visible
 
+    def _project(self, owner: int,
+                 reads: Sequence[tuple[int, int]]) -> "View":
+        """``owner``'s view with x_q read from this view's x_src for each
+        (q, src) in ``reads``; a hidden src raises the LegalityError that
+        reading it would."""
+        visible = self._visible
+        try:
+            return View(owner, {q: visible[src] for q, src in reads})
+        except KeyError as exc:
+            hidden = exc.args[0]
+        raise LegalityError(f"party {self.owner} cannot see x_{hidden}")
+
     def parties(self) -> frozenset[int]:
         return frozenset(self._visible)
 
@@ -415,6 +428,30 @@ class ProtocolSpec:
             return RestrictionGraph.myopic(self.chain)
         return self.graph
 
+    @cached_property
+    def _seen(self) -> tuple[tuple[int, ...], ...]:
+        """Entry p - 1: the parties whose inputs party p sees, in the order
+        ``compute_view`` reads them.  Built on the first run; a graph that
+        does not fit the protocol raises the DomainError ``compute_view``
+        would."""
+        graph = self.visibility()
+        seen = []
+        for p in range(1, self.k + 1):
+            if p > graph.k:
+                raise DomainError(f"party {p} out of range")
+            parties = tuple(graph.neighbors(p))
+            for j in parties:
+                if j > self.k:
+                    raise DomainError(f"index (1,{j}) out of range")
+            seen.append(parties)
+        return tuple(seen)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Input-independent results that the verifier derives from this
+        protocol once and shares between callers."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Transcript:
@@ -449,12 +486,6 @@ def compute_view(graph: RestrictionGraph, x: InputMatrix,
     return View(party, {j: x.x(instance, j) for j in graph.neighbors(party)})
 
 
-def _all_views(spec: ProtocolSpec, x: InputMatrix) -> dict[int, Views]:
-    graph = spec.visibility()
-    return {p: {i: compute_view(graph, x, i, p) for i in range(1, x.ell + 1)}
-            for p in range(1, spec.k + 1)}
-
-
 def _validate_outgoing(spec: ProtocolSpec, sender: int, rnd: int,
                        out: Outgoing) -> None:
     _check_bits(out.payload)
@@ -474,36 +505,46 @@ def _validate_outgoing(spec: ProtocolSpec, sender: int, rnd: int,
                 f"{spec.chain[rnd] if rnd < spec.k else '?'} may carry bits")
 
 
+def _round_order(r: MessageRecord) -> tuple[int, int, int]:
+    return (r.sender, r.protocol or 0, r.recipient)
+
+
 def run_protocol(spec: ProtocolSpec, x: InputMatrix) -> Transcript:
     """Execute all rounds synchronously and collect the declared outputs.
 
     Messages sent in round t may depend only on rounds 1..t-1.  Within a
     round, records are ordered by (sender, protocol index, recipient).
+    Views are those of ``compute_view``, built from the spec's visibility
+    table.  On the board every record goes to BOARD, so inboxes are empty;
+    otherwise each party's inbox grows by its records of each round.
     """
     if (x.k, x.n, x.ell) != (spec.k, spec.n, spec.ell):
         raise DomainError(
             f"input shape ({x.k},{x.n},{x.ell}) does not match protocol "
             f"({spec.k},{spec.n},{spec.ell})")
-    views = _all_views(spec, x)
+    views = {p: {i: View(p, {j: row[j - 1] for j in seen})
+                 for i, row in enumerate(x.rows, start=1)}
+             for p, seen in enumerate(spec._seen, start=1)}
     on_board = spec.model is Model.NOF_BOARD
+    inboxes: dict[int, tuple[MessageRecord, ...]] = dict.fromkeys(views, ())
     records: list[MessageRecord] = []
     for t in range(1, spec.rounds + 1):
-        prior = tuple(records)
-        board = prior if on_board else None
+        board = tuple(records) if on_board else None
         round_records: list[MessageRecord] = []
-        for p in range(1, spec.k + 1):
-            inbox = tuple(r for r in prior if r.recipient == p)
-            for out in spec.next_message(p, t, views[p], inbox, board):
+        for p, view in views.items():
+            for out in spec.next_message(p, t, view, inboxes[p], board):
                 _validate_outgoing(spec, p, t, out)
                 round_records.append(MessageRecord(
                     t, p, out.recipient, out.payload, out.protocol, out.tag))
-        round_records.sort(
-            key=lambda r: (r.sender, r.protocol or 0, r.recipient))
+        round_records.sort(key=_round_order)
         records.extend(round_records)
+        if not on_board:
+            for r in round_records:
+                inboxes[r.recipient] += (r,)
     final = tuple(records)
-    board = final if on_board else None
-    inbox = tuple(r for r in final if r.recipient == spec.output_party)
-    outputs = dict(spec.output_rule(views[spec.output_party], inbox, board))
+    outputs = dict(spec.output_rule(views[spec.output_party],
+                                    inboxes[spec.output_party],
+                                    final if on_board else None))
     if sorted(outputs) != list(range(1, spec.ell + 1)):
         raise DomainError("output rule must produce one bit per instance")
     for bit in outputs.values():
@@ -545,11 +586,14 @@ def check_symmetry(f: TruthTable, pi: Sequence[int] | None = None) -> bool:
     """True iff f(x) = f(x_pi(1), ..., x_pi(k)) for all inputs.
 
     ``pi`` is an image array over [k]; ``None`` quantifies over every
-    permutation (full symmetry).
+    permutation (full symmetry), which holds iff f is invariant under the
+    k - 1 adjacent transpositions, since they generate the symmetric group.
     """
     if pi is None:
-        return all(check_symmetry(f, list(perm))
-                   for perm in itertools.permutations(range(1, f.k + 1)))
+        ident = list(range(1, f.k + 1))
+        return all(
+            check_symmetry(f, ident[:i] + [i + 2, i + 1] + ident[i + 2:])
+            for i in range(f.k - 1))
     if sorted(pi) != list(range(1, f.k + 1)):
         raise DomainError(f"{pi} is not a permutation of [1,{f.k}]")
     words = ["".join(b) for b in itertools.product("01", repeat=f.n)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     BudgetError, DEFAULT_BUDGET, DomainError, InputMatrix, Model,
@@ -244,17 +244,37 @@ def sampled_verify(spec: ProtocolSpec, f: TruthTable, samples: int, seed: int,
     return part.report(spec, predicted_bound, naive_baseline, exhaustive=False)
 
 
-def position_table(spec: ProtocolSpec,
-                   budget: int) -> Iterator[tuple[str, ...]]:
-    """Yield, for each input of a myopic chain in index order, the concatenated
-    payloads of rounds 1..k-1.  Only round t's speaker, position t, may
-    carry bits, so entry t-1 is position t's message."""
-    for _, t in sweep(spec, budget=budget):
-        words = [""] * (spec.k - 1)
-        for r in t.records:
-            if r.payload:
-                words[r.round - 1] += r.payload
-        yield tuple(words)
+class _Positions(NamedTuple):
+    """One sweep of a myopic chain, reduced to what its callers keep."""
+    messages: tuple[frozenset[str], ...]  # per position, distinct messages
+    costs: tuple[tuple[int, ...], ...]    # per input index, per position bits
+
+
+def _position_sweep(spec: ProtocolSpec, budget: int) -> _Positions:
+    """Sweep a myopic chain once and keep, per position, its distinct
+    messages and, per input, each position's message length.  Only round
+    t's speaker, position t, may carry bits, so round t's concatenated
+    payloads are position t's message.  The result is kept on the spec, so
+    the prefix checks of ``myopic_combine`` and the t3 bound share one sweep
+    per chain; the budget guard runs on every call."""
+    domain = _domain(spec, budget)
+    memo = spec._memo
+    if "positions" not in memo:
+        messages = [set() for _ in range(spec.k - 1)]
+        rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+        costs = []
+        for _, t in sweep(spec, domain):
+            words = [""] * (spec.k - 1)
+            for r in t.records:
+                if r.payload:
+                    words[r.round - 1] += r.payload
+            for found, word in zip(messages, words):
+                found.add(word)
+            row = tuple(len(w) for w in words)
+            costs.append(rows.setdefault(row, row))
+        memo["positions"] = _Positions(tuple(map(frozenset, messages)),
+                                       tuple(costs))
+    return memo["positions"]
 
 
 def messages_at_position(spec: ProtocolSpec, pos: int,
@@ -264,7 +284,7 @@ def messages_at_position(spec: ProtocolSpec, pos: int,
         raise DomainError("position messages are defined for myopic chains")
     if not (1 <= pos <= spec.k - 1):
         raise DomainError(f"position {pos} outside [1,{spec.k - 1}]")
-    return frozenset(words[pos - 1] for words in position_table(spec, budget))
+    return _position_sweep(spec, budget).messages[pos - 1]
 
 
 def is_prefix_free(messages: frozenset[str]) -> bool:
@@ -283,6 +303,20 @@ def check_prefix_free(spec: ProtocolSpec, pos: int,
     return is_prefix_free(messages_at_position(spec, pos, budget))
 
 
+def _rounds_of(tr: Transcript, p: int, rounds: int, on_board: bool
+               ) -> tuple[list[list], list[list]]:
+    """Per round (entry t, 1-based), the records party p perceives arriving
+    in it -- all of them on the board -- and the records p sends in it."""
+    heard = [[] for _ in range(rounds + 1)]
+    sent = [[] for _ in range(rounds + 1)]
+    for r in tr.records:
+        if on_board or r.recipient == p:
+            heard[r.round].append(r)
+        if r.sender == p:
+            sent[r.round].append(r)
+    return heard, sent
+
+
 def check_view_legality(spec: ProtocolSpec, x: InputMatrix) -> None:
     """Bit-flip fuzzing: flipping a bit invisible to party p must not change
     what p sends, as long as p's perceived state is unchanged.
@@ -291,38 +325,38 @@ def check_view_legality(spec: ProtocolSpec, x: InputMatrix) -> None:
     the flipped input and compares p's outgoing messages round by round,
     stopping at the first round where p's inbox or the board (p's perceived
     state) diverges -- after that point changes are legitimate reactions.
+    Each flipped input runs once, shared by every party that cannot see the
+    flipped bit.
     """
     base = run_protocol(spec, x)
-    vis = spec.visibility()
     on_board = spec.model is Model.NOF_BOARD
+    runs: dict[tuple[int, int, int], Transcript] = {}
     for p in range(1, spec.k + 1):
+        seen = spec._seen[p - 1]
         invisible = [(i, j) for i in range(1, x.ell + 1)
                      for j in range(1, spec.k + 1)
-                     if j != p and j not in vis.neighbors(p)] + \
+                     if j != p and j not in seen] + \
                     [(i, p) for i in range(1, x.ell + 1)]
+        heard_base, sent_base = _rounds_of(base, p, spec.rounds, on_board)
         for (i, j) in invisible:
             for bit in range(spec.n):
-                rows = [list(r) for r in x.rows]
-                word = rows[i - 1][j - 1]
-                rows[i - 1][j - 1] = (word[:bit]
-                                      + ("1" if word[bit] == "0" else "0")
-                                      + word[bit + 1:])
-                flipped = InputMatrix(x.ell, x.k, x.n,
-                                      tuple(tuple(r) for r in rows))
-                other = run_protocol(spec, flipped)
+                other = runs.get((i, j, bit))
+                if other is None:
+                    rows = [list(r) for r in x.rows]
+                    word = rows[i - 1][j - 1]
+                    rows[i - 1][j - 1] = (word[:bit]
+                                          + ("1" if word[bit] == "0" else "0")
+                                          + word[bit + 1:])
+                    flipped = InputMatrix(x.ell, x.k, x.n,
+                                          tuple(tuple(r) for r in rows))
+                    other = runs[i, j, bit] = run_protocol(spec, flipped)
+                heard, sent = _rounds_of(other, p, spec.rounds, on_board)
                 for t in range(1, spec.rounds + 1):
-                    def perceived(tr):
-                        prior = tuple(r for r in tr.records if r.round < t)
-                        if on_board:
-                            return prior
-                        return tuple(r for r in prior if r.recipient == p)
-                    if perceived(base) != perceived(other):
+                    # p's perceived state before round t: rounds < t - 1
+                    # already matched, so only round t - 1 is compared
+                    if heard_base[t - 1] != heard[t - 1]:
                         break
-                    sent_base = [r for r in base.records
-                                 if r.round == t and r.sender == p]
-                    sent_other = [r for r in other.records
-                                  if r.round == t and r.sender == p]
-                    if sent_base != sent_other:
+                    if sent_base[t] != sent[t]:
                         raise DomainError(
                             f"{spec.name}: party {p} reacted to invisible "
                             f"bit ({i},{j},{bit}) in round {t}")

@@ -5,7 +5,8 @@ Each pinned digest is a SHA-256 over the full-domain transcripts of one
 compiled acceptance configuration: (round, sender, recipient, payload) of
 every record plus the outputs.  Framing tags and protocol indices are left
 out, so a change of framing that keeps the bits keeps the digest.  A
-refactor of the compilers must leave every digest unchanged.
+refactor of the compilers must leave every digest unchanged.  The same
+digests of three uncompiled built-ins, one per model, pin the runner.
 """
 
 import dataclasses
@@ -17,8 +18,8 @@ from nofmux import (
     BindingTriplet, InputMatrix, Model, NofmuxError, Outgoing, Permutation,
     ProtocolSpec, TruthTable, compile_symmetric, domain_size,
     example3_filtering_triplets, example3_graph, example3_protocol,
-    exhaustive_verify, multiplex_combine, myopic_combine, myopic_eq_chain,
-    run_protocol,
+    exhaustive_verify, lemma1_protocol, multiplex_combine, myopic_combine,
+    myopic_eq_chain, random_truth_table, run_protocol,
 )
 from nofmux.cli import chained_equality_plan, forwarding_pipeline_plan
 
@@ -110,6 +111,26 @@ def test_compiled_transcripts_match_pins(name):
     build, want = PINNED[name]
     assert transcript_digest(build()) == want
 
+
+
+# Computed with the runner that rebuilt the visibility graph on every run.
+PINNED_UNCOMPILED = {
+    "lemma1-k4-n1": (
+        lambda: lemma1_protocol(random_truth_table(4, 1, seed=0)),
+        "63202ecb184ade1edc57777c7c6927ca061943c3a0ae6ca8f18449647c15b77f"),
+    "example3-k5-n2": (
+        lambda: example3_protocol(5, 2),
+        "ed41abdbe6132bb32b80fef1a219dafcb242a81113473bb683a754408a1f5b38"),
+    "myopic-eq-k5-n2": (
+        lambda: myopic_eq_chain(5, 2, Permutation((2, 4, 1, 5, 3))),
+        "e104d3a9ea3d8ec8ee767a3e3d6e68c54fd174540dbb76594048fabb84ceaa3f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_UNCOMPILED))
+def test_uncompiled_transcripts_match_pins(name):
+    build, want = PINNED_UNCOMPILED[name]
+    assert transcript_digest(build()) == want
 
 def flip_block_bit(spec, flips):
     """``spec`` with the first bit of each XOR block flipped.  Blocks are

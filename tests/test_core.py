@@ -242,6 +242,58 @@ def test_myopic_model_rejects_off_chain_messages():
         run_protocol(spec, InputMatrix.single("0", "0", "0"))
 
 
+def _one_round(model, next_message, graph=None):
+    return ProtocolSpec(
+        name="probe", model=model, k=3, n=2, ell=1, rounds=1,
+        next_message=next_message, output_party=1, graph=graph,
+        output_rule=lambda views, inbox, board: {1: 0})
+
+
+def test_runner_rule_reading_own_forehead_is_illegal():
+    def next_message(p, t, views, inbox, board):
+        return [Outgoing(BOARD, views[1][p])] if p == 2 else []
+
+    spec = _one_round(Model.NOF_BOARD, next_message)
+    with pytest.raises(LegalityError, match="party 2 cannot see x_2"):
+        run_protocol(spec, InputMatrix.single("00", "01", "10"))
+
+
+def test_runner_graph_rule_reading_non_neighbor_is_illegal():
+    """Party 1 sees only x_2, so its rule may not read x_3."""
+    graph = RestrictionGraph(3, frozenset({(1, 2), (2, 1), (3, 1)}))
+
+    def next_message(p, t, views, inbox, board):
+        return [Outgoing(2, views[1][3])] if p == 1 else []
+
+    spec = _one_round(Model.NOF_GRAPH, next_message, graph)
+    with pytest.raises(LegalityError, match="party 1 cannot see x_3"):
+        run_protocol(spec, InputMatrix.single("00", "01", "10"))
+
+
+def test_runner_rejects_graph_of_other_party_count():
+    """A restriction graph over fewer parties than the protocol raises the
+    DomainError that computing the missing party's view would."""
+    graph = RestrictionGraph(2, frozenset({(1, 2), (2, 1)}))
+    spec = _one_round(Model.NOF_GRAPH, lambda p, t, views, inbox, board: [],
+                      graph)
+    with pytest.raises(DomainError, match="party 3 out of range"):
+        run_protocol(spec, InputMatrix.single("00", "01", "10"))
+
+
+def test_runner_rejects_non_bit_payload():
+    def next_message(p, t, views, inbox, board):
+        return [Outgoing(BOARD, "01x")] if p == 1 else []
+
+    spec = _one_round(Model.NOF_BOARD, next_message)
+    with pytest.raises(DomainError, match="'01x' is not a bit string"):
+        run_protocol(spec, InputMatrix.single("00", "01", "10"))
+
+
+def test_input_matrix_rejects_non_bit_entry():
+    with pytest.raises(DomainError, match="'0a' is not a bit string"):
+        InputMatrix(1, 3, 2, (("00", "0a", "10"),))
+
+
 def test_replay_determinism():
     spec = _xor_board_protocol()
     t = check_replay_determinism(spec, InputMatrix.single("1", "0", "1"))

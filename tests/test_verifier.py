@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from nofmux import (
     BOARD, DEFAULT_BUDGET, BudgetError, CommPattern, DomainError, InputMatrix,
     Model, ObliviousnessError, Outgoing, Permutation, ProtocolSpec,
-    TruthTable, bits_to_int, board_outputs, check_prefix_free,
-    check_view_legality, domain_size, eq_two_bit_protocol, exhaustive_verify,
+    RestrictionGraph, TruthTable, bits_to_int, board_outputs,
+    check_prefix_free, check_view_legality, domain_size, eq_two_bit_protocol,
+    exhaustive_verify,
     is_prefix_free, lemma1_protocol, measure_cost, messages_at_position,
     myopic_eq_chain, oracle_evaluate, random_truth_table, sampled_verify,
 )
@@ -240,3 +241,30 @@ def test_bit_flip_fuzzing_flags_extra_view_dependence():
         output_rule=lambda views, inbox, board: {1: 0})
     with pytest.raises(DomainError):
         check_view_legality(sneaky, InputMatrix.single("0", "1"))
+
+
+def test_bit_flip_fuzzing_reports_the_first_party_of_a_shared_flip():
+    """x_1 is hidden from parties 1, 3 and 4.  Party 2 sees it and leaks
+    it, before they speak, to parties 3 and 4, which both send it on.
+    The flipped run of x_1 is shared by all three parties; party 1 does not
+    react, so the first party reported is party 3."""
+    leak = {}
+
+    def next_message(p, t, views, inbox, board):
+        if p == 2:
+            leak["x1"] = views[1][1]
+            return []
+        return [Outgoing(2, leak["x1"])] if p in (3, 4) else []
+
+    graph = RestrictionGraph(4, frozenset({
+        (1, 2), (1, 3), (1, 4), (2, 1), (2, 3), (2, 4), (3, 2), (3, 4),
+        (4, 2), (4, 3)}))
+    leaky = ProtocolSpec(
+        name="leaky", model=Model.NOF_GRAPH, k=4, n=1, ell=1, rounds=1,
+        next_message=next_message, output_party=2, graph=graph,
+        output_rule=lambda views, inbox, board: {1: 0})
+    for idx in range(domain_size(4, 1, 1)):
+        with pytest.raises(DomainError) as err:
+            check_view_legality(leaky, InputMatrix.from_index(idx, 4, 1, 1))
+        assert str(err.value) == ("leaky: party 3 reacted to invisible bit "
+                                  "(1,1,0) in round 1")
