@@ -483,20 +483,23 @@ def _corollary2_bound(plan: CompilationPlan) -> Bound:
 
 def _theorem3_bound(plan: CompilationPlan, budget: int) -> Bound:
     """Worst case over all inputs of total chain cost minus the per-group
-    (total - max) savings, evaluated by enumeration."""
+    (total - max) savings.  The cost depends on an input only through each
+    chain's per-position cost row, so it is evaluated over the product of
+    each chain's distinct rows."""
     k, n, ell = plan.protocols[0].k, plan.protocols[0].n, plan.ell
     single = domain_size(k, n, 1)
     if single ** ell > budget:
         raise BudgetError(
             f"the t3 bound enumerates {single ** ell} inputs, budget is "
             f"{budget}")
-    # costs[u-1][idx][pos-1], from the sweep the prefix checks share
-    costs = [_position_sweep(q, budget).costs for q in plan.protocols]
+    # rows[u-1] holds chain u's distinct per-position costs, from the sweep
+    # the prefix checks share
+    rows = [set(_position_sweep(q, budget).costs) for q in plan.protocols]
     worst = 0
-    for combo in itertools.product(range(single), repeat=ell):
-        total = sum(sum(costs[u][combo[u]]) for u in range(ell))
+    for combo in itertools.product(*rows):
+        total = sum(map(sum, combo))
         for t in plan.certificate:
-            lens = [costs[u - 1][combo[u - 1]][t.pos - 1] for u in sorted(t.U)]
+            lens = [combo[u - 1][t.pos - 1] for u in t.U]
             total -= sum(lens) - max(lens)
         worst = max(worst, total)
     return Bound(worst + ell, worst)

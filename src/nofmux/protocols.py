@@ -7,7 +7,7 @@ them are oblivious, so every one declares its communication pattern.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .combinatorics import Permutation, permute_graph
 from .core import (
@@ -38,73 +38,59 @@ def _board_round_payload(board, rnd: int, sender: int) -> str:
 # board-model direct-sum protocols
 # ---------------------------------------------------------------------------
 
-def lemma1_protocol(f: TruthTable) -> ProtocolSpec:
-    """k-1 instances of f at cost n + k - 1.
-
-    Round 1: the last party broadcasts the xor of the diagonal inputs
-    x_{1,1}, ..., x_{k-1,k-1}.  Round 2: each P_i (i < k) strips the k-2
-    diagonal words it sees, recovers its own forehead word for instance i,
-    evaluates f there and writes the answer bit.
-    """
+def _blockwise(f: TruthTable, ell: int, name: str) -> ProtocolSpec:
+    """ell instances in blocks of k - 1.  Block b takes rounds 2b+1 and
+    2b+2: the last party broadcasts the xor of the block's diagonal inputs,
+    then each P_i (i < k) strips the k-2 diagonal words it sees, recovers
+    its own forehead word for its instance of the block, evaluates f there
+    and writes the answer bit."""
     k, n = f.k, f.n
-    ell = k - 1
-
-    def next_message(p, t, views, inbox, board):
-        if t == 1 and p == k:
-            word = _xor_many([views[i][i] for i in range(1, k)])
-            return [Outgoing(BOARD, word)]
-        if t == 2 and p < k:
-            masked = _board_round_payload(board, 1, k)
-            seen = [views[u][u] for u in range(1, k) if u != p]
-            own = _xor_many([masked, *seen]) if seen else masked
-            args = [own if j == p else views[p][j] for j in range(1, k + 1)]
-            return [Outgoing(BOARD, str(f.evaluate(args)), tag=f"out:{p}")]
-        return []
-
-    pattern = CommPattern(
-        {(1, k, BOARD): n, **{(2, i, BOARD): 1 for i in range(1, k)}}, 2)
-    return ProtocolSpec(
-        name=f"lemma1[k={k},n={n}]", model=Model.NOF_BOARD, k=k, n=n, ell=ell,
-        rounds=2, next_message=next_message, output_party=k,
-        output_rule=lambda views, inbox, board: board_outputs(board, ell),
-        pattern=pattern)
-
-
-def corollary1_protocol(f: TruthTable, ell: int) -> ProtocolSpec:
-    """ell instances in blocks of k - 1, each run as in lemma1_protocol."""
-    k, n = f.k, f.n
-    if ell % (k - 1) != 0:
+    if k < 2 or ell % (k - 1) != 0:
         raise DomainError(f"k - 1 = {k - 1} must divide ell = {ell}")
     blocks = ell // (k - 1)
 
+    # the diagonal cells (instance, party) of each round's block
+    diagonal, lengths = {}, {}
+    for b in range(blocks):
+        diagonal[2 * b + 1] = diagonal[2 * b + 2] = cells = []
+        lengths[(2 * b + 1, k, BOARD)] = n
+        for i in range(1, k):
+            cells.append((b * (k - 1) + i, i))
+            lengths[(2 * b + 2, i, BOARD)] = 1
+
     def next_message(p, t, views, inbox, board):
-        block, phase = divmod(t - 1, 2)
-        base = block * (k - 1)
-        if phase == 0 and p == k:
-            word = _xor_many([views[base + i][i] for i in range(1, k)])
-            return [Outgoing(BOARD, word)]
-        if phase == 1 and p < k:
-            inst = base + p
+        if t % 2:
+            if p == k:
+                word = _xor_many([views[i][j] for i, j in diagonal[t]])
+                return [Outgoing(BOARD, word)]
+        elif p < k:
+            cells = diagonal[t]
+            inst = cells[p - 1][0]
             masked = _board_round_payload(board, t - 1, k)
-            seen = [views[base + u][u] for u in range(1, k) if u != p]
-            own = _xor_many([masked, *seen]) if seen else masked
+            own = _xor_many([masked, *[views[i][j] for i, j in cells
+                                       if j != p]])
             args = [own if j == p else views[inst][j]
                     for j in range(1, k + 1)]
             return [Outgoing(BOARD, str(f.evaluate(args)),
                              tag=f"out:{inst}")]
         return []
 
-    lengths = {}
-    for b in range(blocks):
-        lengths[(2 * b + 1, k, BOARD)] = n
-        for i in range(1, k):
-            lengths[(2 * b + 2, i, BOARD)] = 1
     return ProtocolSpec(
-        name=f"corollary1[k={k},n={n},ell={ell}]", model=Model.NOF_BOARD,
-        k=k, n=n, ell=ell, rounds=2 * blocks, next_message=next_message,
-        output_party=k,
+        name=name, model=Model.NOF_BOARD, k=k, n=n, ell=ell,
+        rounds=2 * blocks, next_message=next_message, output_party=k,
         output_rule=lambda views, inbox, board: board_outputs(board, ell),
         pattern=CommPattern(lengths, 2 * blocks))
+
+
+def lemma1_protocol(f: TruthTable) -> ProtocolSpec:
+    """k-1 instances of f at cost n + k - 1: one block of
+    corollary1_protocol."""
+    return _blockwise(f, f.k - 1, f"lemma1[k={f.k},n={f.n}]")
+
+
+def corollary1_protocol(f: TruthTable, ell: int) -> ProtocolSpec:
+    """ell instances in blocks of k - 1, each run as in lemma1_protocol."""
+    return _blockwise(f, ell, f"corollary1[k={f.k},n={f.n},ell={ell}]")
 
 
 def eq_two_bit_protocol(k: int, n: int) -> ProtocolSpec:
@@ -181,26 +167,31 @@ def example1_graph(k: int) -> RestrictionGraph:
     return RestrictionGraph(k, frozenset(edges))
 
 
-def example1_protocol(f: TruthTable) -> ProtocolSpec:
-    """P_k forwards x_1 to P_1, who then evaluates f."""
+def _forwarding(f: TruthTable, i: int, name: str) -> ProtocolSpec:
+    """P_k forwards x_i to P_i, who evaluates f, on example1's graph
+    relabelled by the i-th cyclic permutation."""
     k, n = f.k, f.n
-    graph = example1_graph(k)
+    graph = permute_graph(example1_graph(k), example1_permutation(k, i))
 
     def next_message(p, t, views, inbox, board):
         if t == 1 and p == k:
-            return [Outgoing(1, views[1][1])]
+            return [Outgoing(i, views[1][i])]
         return []
 
     def output_rule(views, inbox, board):
-        x1 = inbox[-1].payload
-        args = [x1] + [views[1][j] for j in range(2, k + 1)]
+        xi = inbox[-1].payload
+        args = [xi if j == i else views[1][j] for j in range(1, k + 1)]
         return {1: f.evaluate(args)}
 
     return ProtocolSpec(
-        name=f"example1[k={k},n={n}]", model=Model.NOF_GRAPH, k=k, n=n,
-        ell=1, rounds=1, next_message=next_message, output_party=1,
-        output_rule=output_rule, graph=graph,
-        pattern=CommPattern({(1, k, 1): n}, 1))
+        name=name, model=Model.NOF_GRAPH, k=k, n=n, ell=1, rounds=1,
+        next_message=next_message, output_party=i, output_rule=output_rule,
+        graph=graph, pattern=CommPattern({(1, k, i): n}, 1))
+
+
+def example1_protocol(f: TruthTable) -> ProtocolSpec:
+    """P_k forwards x_1 to P_1, who then evaluates f: the variant Q^1."""
+    return _forwarding(f, 1, f"example1[k={f.k},n={f.n}]")
 
 
 def example1_permutation(k: int, i: int) -> Permutation:
@@ -215,25 +206,7 @@ def example1_permutation(k: int, i: int) -> Permutation:
 def example1_variant(f: TruthTable, i: int) -> ProtocolSpec:
     """Q^i: P_k forwards x_i to P_i, who evaluates f.  Correct for arbitrary
     f, unlike a mere relabeling of example1_protocol."""
-    k, n = f.k, f.n
-    pi = example1_permutation(k, i)
-    graph = permute_graph(example1_graph(k), pi)
-
-    def next_message(p, t, views, inbox, board):
-        if t == 1 and p == k:
-            return [Outgoing(i, views[1][i])]
-        return []
-
-    def output_rule(views, inbox, board):
-        xi = inbox[-1].payload
-        args = [xi if j == i else views[1][j] for j in range(1, k + 1)]
-        return {1: f.evaluate(args)}
-
-    return ProtocolSpec(
-        name=f"example1-variant[k={k},n={n},i={i}]", model=Model.NOF_GRAPH,
-        k=k, n=n, ell=1, rounds=1, next_message=next_message, output_party=i,
-        output_rule=output_rule, graph=graph,
-        pattern=CommPattern({(1, k, i): n}, 1))
+    return _forwarding(f, i, f"example1-variant[k={f.k},n={f.n},i={i}]")
 
 
 def example3_graph(k: int) -> RestrictionGraph:
@@ -312,6 +285,17 @@ def myopic_eq_chain(k: int, n: int, pi: Permutation) -> ProtocolSpec:
         pattern=CommPattern(lengths, k - 1))
 
 
-#: CLI-exposed constructor names.
-FAMILIES = ("lemma1", "corollary1", "eq2", "eq-multi", "example1",
-            "example1-variant", "example3", "myopic-eq")
+#: Built-in families by their name in a plan file: each builds its protocol
+#: from the plan's function f, its ell and the family's own plan entry.
+FAMILIES: dict[str, Callable[[TruthTable, int, Mapping], ProtocolSpec]] = {
+    "lemma1": lambda f, ell, entry: lemma1_protocol(f),
+    "corollary1": lambda f, ell, entry: corollary1_protocol(f, ell),
+    "eq2": lambda f, ell, entry: eq_two_bit_protocol(f.k, f.n),
+    "eq-multi": lambda f, ell, entry: eq_multi_protocol(f.k, f.n),
+    "example1": lambda f, ell, entry: example1_protocol(f),
+    "example1-variant":
+        lambda f, ell, entry: example1_variant(f, int(entry["i"])),
+    "example3": lambda f, ell, entry: example3_protocol(f.k, f.n),
+    "myopic-eq": lambda f, ell, entry: myopic_eq_chain(
+        f.k, f.n, Permutation(tuple(entry["pi"]))),
+}

@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a pass/fail line.
+"""Acceptance suite: one test per criterion of ``nofmux.acceptance``, each
+printing a pass/fail line.
 
 The large-domain variants (the n=2 forwarding-pipeline sweep over 2^24
 inputs and the 7-party equality pipeline over 2^21 inputs) run under the
@@ -9,52 +10,30 @@ import pytest
 
 from nofmux import TruthTable, compile_symmetric, example3_filtering_triplets, \
     example3_graph, example3_protocol, exhaustive_verify, predicted_bound
-from nofmux.cli import (
-    _check_blockwise_direct_sum, _check_direct_sum_broadcast,
-    _check_equality_pipeline, _check_forwarding_pipeline,
-    _check_matrix_construction, _check_matrix_properties,
-    _check_myopic_combining, _check_obliviousness_legality,
-    _check_two_bit_equality,
-)
+from nofmux.acceptance import CRITERIA
 from nofmux.core import DEFAULT_BUDGET
 
-CRITERIA = (
-    ("criterion 1: broadcast direct sum, cost n+k-1 over 4096 inputs",
-     _check_direct_sum_broadcast),
-    ("criterion 2: blockwise direct sum, cost ell*n/(k-1)+ell over 4096 "
-     "inputs", _check_blockwise_direct_sum),
-    ("criterion 3: two-bit equality over 1024 inputs",
-     _check_two_bit_equality),
-    ("criterion 4: equality pipeline, hand-built and compiled cost "
-     "1+(k-1)/2 < naive", _check_equality_pipeline),
-    ("criterion 5: forwarding pipeline with user-supplied variants, cost "
-     "n+ell", _check_forwarding_pipeline),
-    ("criterion 6: permutation matrix pinned entries and row map",
-     _check_matrix_construction),
-    ("criterion 7: myopic combining, payload 5 and total 7 over 1024 "
-     "inputs", _check_myopic_combining),
-    ("criterion 8: 1000 random filtering sets convert to valid "
-     "multiplexing sets", _check_matrix_properties),
-    ("criterion 9: obliviousness and bit-flip view legality for all "
-     "built-ins", _check_obliviousness_legality),
-)
+NUMBERED = [(f"criterion {i}", c) for i, c in enumerate(CRITERIA, start=1)]
 
 
-@pytest.mark.parametrize("label,check", CRITERIA,
-                         ids=[c[0].split(":")[0] for c in CRITERIA])
-def test_acceptance(label, check, capsys):
-    ok, detail = check(DEFAULT_BUDGET)
+@pytest.mark.parametrize("label,criterion", NUMBERED,
+                         ids=[label for label, _ in NUMBERED])
+def test_acceptance(label, criterion, capsys):
+    ok, detail = criterion.check(DEFAULT_BUDGET)
     with capsys.disabled():
-        print(f"[{'PASS' if ok else 'FAIL'}] {label} -- {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {label}: {criterion.name} -- "
+              f"{detail}")
     assert ok, f"{label}: {detail}"
 
 
 @pytest.mark.slow
 def test_acceptance_forwarding_pipeline_full_domain(capsys):
-    """Criterion 5 at n=2: cost n+ell = 5 over all 2^24 input matrices."""
-    ok, detail = _check_forwarding_pipeline(DEFAULT_BUDGET, full=True)
+    """Criterion 5 at n=2, the variant ``nofmux demo --full`` runs: cost
+    n+ell = 5 over all 2^24 input matrices."""
+    [(label, criterion)] = [(label, c) for label, c in NUMBERED if c.full]
+    ok, detail = criterion.full(DEFAULT_BUDGET)
     with capsys.disabled():
-        print(f"[{'PASS' if ok else 'FAIL'}] criterion 5 (full domain) -- "
+        print(f"[{'PASS' if ok else 'FAIL'}] {label} (full domain) -- "
               f"{detail}")
     assert ok, detail
 

@@ -1,9 +1,14 @@
 """End-to-end CLI tests over real artifact files."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nofmux
+from nofmux import acceptance
 from nofmux.cli import main
 
 
@@ -173,8 +178,10 @@ def test_artifacts_are_deterministic(equality_pipeline_plan, tmp_path,
 
 def _one_line_usage_error(argv, capsys):
     assert main(argv) == 2
-    err = capsys.readouterr().err.strip()
+    out, err = capsys.readouterr()
+    err = err.strip()
     assert err.startswith("error:") and "\n" not in err, err
+    return out
 
 
 def test_plan_without_k_is_usage_error(equality_pipeline_plan, tmp_path,
@@ -228,3 +235,92 @@ def test_certificate_shape_must_match_plan(tmp_path, capsys):
         },
     }))
     _one_line_usage_error(["verify", str(plan)], capsys)
+
+
+# A certificate whose triplets, permutations or graph do not fit its own k
+# and ell: each is a usage error before any output.
+_NINE_PARTY_FILTERING = {"kind": "filtering", "k": 9, "ell": 4,
+                         "triplets": [[1, 2, [3, 4]]]}
+SHAPE_ERRORS = {
+    "graph-of-other-k": ("validate", _NINE_PARTY_FILTERING,
+                         {"k": 5, "edges": []}),
+    "matrix-graph-of-other-k": ("matrix", _NINE_PARTY_FILTERING,
+                                {"k": 5, "edges": []}),
+    "party-out-of-range": (
+        "validate", {"kind": "filtering", "k": 9, "ell": 4,
+                     "triplets": [[1, 12, [3]]]}, {"k": 9, "edges": []}),
+    "protocol-index-out-of-range": (
+        "validate", {"kind": "multiplexing", "k": 4, "ell": 2,
+                     "triplets": [[4, 1, [7]]],
+                     "permutations": [[1, 2, 3, 4], [2, 3, 1, 4]]},
+        {"builtin": "example1", "k": 4}),
+    "position-without-successor": (
+        "validate", {"kind": "repetitive", "k": 5, "ell": 2,
+                     "triplets": [[5, 2, [1, 2]]],
+                     "permutations": [[1, 2, 3, 4, 5], [4, 2, 5, 1, 3]]},
+        None),
+    "permutation-arity": (
+        "validate", {"kind": "repetitive", "k": 5, "ell": 2,
+                     "triplets": [[2, 2, [1, 2]]],
+                     "permutations": [[1, 2, 3], [2, 3, 1]]}, None),
+}
+
+
+@pytest.mark.parametrize("command,cert,graph", SHAPE_ERRORS.values(),
+                         ids=list(SHAPE_ERRORS))
+def test_certificate_shape_is_usage_error(command, cert, graph, tmp_path,
+                                          capsys):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert))
+    argv = [command, str(cert_path)]
+    if graph is not None:
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_text(json.dumps(graph))
+        argv += ["--graph", str(graph_path)]
+    assert _one_line_usage_error(argv, capsys) == ""
+
+
+_T3_PLAN = {
+    "path": "t3", "k": 5, "n": 1, "ell": 2,
+    "function": {"kind": "eq"},
+    "protocols": [{"family": "myopic-eq", "pi": [1, 2, 3, 4, 5]},
+                  {"family": "myopic-eq", "pi": [4, 2, 5, 1, 3]}],
+    "certificate": {"kind": "repetitive", "k": 5, "ell": 2,
+                    "triplets": [[2, 2, [1, 2]]],
+                    "permutations": [[1, 2, 3, 4, 5], [4, 2, 5, 1, 3]]},
+}
+PLAN_ERRORS = {
+    "permutation-count": {"permutations": [[1, 2, 3, 4, 5]]},
+    "unknown-theorem-path": {"path": "t9"},
+}
+
+
+@pytest.mark.parametrize("override", PLAN_ERRORS.values(),
+                         ids=list(PLAN_ERRORS))
+def test_malformed_plan_is_usage_error(override, tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({**_T3_PLAN, **override}))
+    _one_line_usage_error(["verify", str(plan)], capsys)
+
+
+def test_demo_prints_each_criterion_and_fails_on_any(monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "CRITERIA", (
+        acceptance.Criterion("good", lambda budget: (True, "fine")),
+        acceptance.Criterion("bad", lambda budget: (False, "broken"),
+                             full=lambda budget: (True, "whole domain")),
+    ))
+    assert main(["demo"]) == 1
+    assert capsys.readouterr().out == "[PASS] good: fine\n[FAIL] bad: broken\n"
+    assert main(["demo", "--full"]) == 0
+    assert capsys.readouterr().out == ("[PASS] good: fine\n"
+                                       "[PASS] bad: whole domain\n")
+
+
+def test_import_nofmux_loads_neither_cli_nor_acceptance():
+    src = str(Path(nofmux.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import nofmux; "
+            "print([m for m in ('nofmux.cli', 'nofmux.acceptance') "
+            "if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"

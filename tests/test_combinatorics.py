@@ -12,7 +12,9 @@ from nofmux import (
     is_binding_triplet, is_filtering_set, is_good_triplet,
     is_multiplexing_set, is_repetitive_set, map_images, permute_graph,
 )
-from nofmux.cli import nine_party_filtering_instance, random_filtering_instance
+from nofmux.acceptance import (
+    nine_party_filtering_instance, random_filtering_instance,
+)
 
 
 # ---------------------------------------------------------------------------

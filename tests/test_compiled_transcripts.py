@@ -16,12 +16,13 @@ import pytest
 
 from nofmux import (
     BindingTriplet, InputMatrix, Model, NofmuxError, Outgoing, Permutation,
-    ProtocolSpec, TruthTable, compile_symmetric, domain_size,
-    example3_filtering_triplets, example3_graph, example3_protocol,
-    exhaustive_verify, lemma1_protocol, multiplex_combine, myopic_combine,
-    myopic_eq_chain, random_truth_table, run_protocol,
+    ProtocolSpec, TruthTable, compile_symmetric, corollary1_protocol,
+    domain_size, example1_protocol, example3_filtering_triplets,
+    example3_graph, example3_protocol, exhaustive_verify, lemma1_protocol,
+    multiplex_combine, myopic_combine, myopic_eq_chain, random_truth_table,
+    run_protocol,
 )
-from nofmux.cli import chained_equality_plan, forwarding_pipeline_plan
+from nofmux.acceptance import chained_equality_plan, forwarding_pipeline_plan
 
 
 def transcript_digest(spec) -> str:
@@ -113,11 +114,19 @@ def test_compiled_transcripts_match_pins(name):
 
 
 
-# Computed with the runner that rebuilt the visibility graph on every run.
+# Computed with the runner that rebuilt the visibility graph on every run;
+# example1 and corollary1 with their own constructors, before they became
+# special cases of the forwarding and blockwise builders.
 PINNED_UNCOMPILED = {
     "lemma1-k4-n1": (
         lambda: lemma1_protocol(random_truth_table(4, 1, seed=0)),
         "63202ecb184ade1edc57777c7c6927ca061943c3a0ae6ca8f18449647c15b77f"),
+    "corollary1-k3-n1-ell4": (
+        lambda: corollary1_protocol(random_truth_table(3, 1, seed=10), ell=4),
+        "676a22aa1dc1b99134fa5f16c8b1b0a5d78a6e6465659cf21eeadf7ad94791dc"),
+    "example1-k4-n2": (
+        lambda: example1_protocol(random_truth_table(4, 2, seed=11)),
+        "19f7cf9ae5d9746c9977761a77f0bfeafc1c99353c1ee7bab9e6d1915cf7d81c"),
     "example3-k5-n2": (
         lambda: example3_protocol(5, 2),
         "ed41abdbe6132bb32b80fef1a219dafcb242a81113473bb683a754408a1f5b38"),

@@ -5,15 +5,16 @@ import pytest
 
 from nofmux import (
     BindingTriplet, CertificateError, CommPattern, CompilationPlan,
-    DomainError, InputMatrix, Model, MultiplexTriplet, ObliviousnessError,
-    Outgoing, Permutation, ProtocolSpec, RobustnessError, TruthTable,
-    check_pattern_robust, compile_symmetric, enumerate_inputs,
+    DEFAULT_BUDGET, DomainError, InputMatrix, Model, MultiplexTriplet,
+    ObliviousnessError, Outgoing, Permutation, ProtocolSpec, RobustnessError,
+    TruthTable, check_pattern_robust, compile_symmetric, enumerate_inputs,
     eq_multi_protocol, example3_filtering_triplets, example3_graph,
     example3_protocol, exhaustive_verify, measure_cost, multiplex_combine,
     myopic_combine, myopic_eq_chain, permute_protocol, predicted_bound,
     run_protocol,
 )
-from nofmux.cli import chained_equality_plan, forwarding_pipeline_plan
+from nofmux.acceptance import chained_equality_plan, forwarding_pipeline_plan
+from nofmux.verifier import _position_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +298,46 @@ def test_myopic_ragged_lengths_are_padded_and_decoded():
     assert report.correct, report.counterexample
     # block is max(2, 1) = 2 bits; chains otherwise cost 2 + 2 bits
     assert report.measured_worst_payload == 6
+
+
+def _coded_chain(pi):
+    """An equality chain that sends its bit as "1" or "00": a prefix-free
+    code whose length varies with the input, so each position's cost does
+    too."""
+    def next_message(p, t, views, inbox, board):
+        if 2 <= t <= 4 and p == pi(t):
+            bit = int(views[1][pi(t - 1)] == views[1][pi(t + 1)])
+            if t > 2:
+                bit &= int(inbox[-1].payload[0])
+            return [Outgoing(pi(t + 1), "1" if bit else "00")]
+        return []
+
+    def output_rule(views, inbox, board):
+        mine = len({views[1][pi(j)] for j in range(1, 5)}) == 1
+        return {1: int(inbox[-1].payload[0]) & mine}
+
+    return ProtocolSpec(
+        name="coded", model=Model.MYOPIC, k=5, n=1, ell=1, rounds=4,
+        next_message=next_message, output_party=pi(5), chain=pi.image,
+        output_rule=output_rule)
+
+
+def test_t3_bound_of_input_dependent_lengths():
+    """Chains with several distinct per-position cost rows: the bound
+    (pinned to the value of a sweep over all 128^2 input pairs) is the
+    compiled protocol's measured worst case."""
+    perms = (Permutation((1, 2, 3, 4, 5)), Permutation((4, 2, 5, 1, 3)))
+    protos = tuple(_coded_chain(pi) for pi in perms)
+    cert = (BindingTriplet(2, 2, frozenset({1, 2})),)
+    assert all(len(set(_position_sweep(q, DEFAULT_BUDGET).costs)) >= 2
+               for q in protos)
+    bound = predicted_bound(CompilationPlan("t3", 2, perms, protos, cert))
+    assert bound == (12, 10)
+    report = exhaustive_verify(myopic_combine(protos, perms, cert),
+                               TruthTable.eq(5, 1))
+    assert report.correct, report.counterexample
+    assert (report.measured_worst_case, report.measured_worst_payload) \
+        == tuple(bound)
 
 
 def test_myopic_combiner_declares_pattern_of_oblivious_chains():

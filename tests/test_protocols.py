@@ -168,3 +168,14 @@ def test_family_registry_names():
     assert set(FAMILIES) == {"lemma1", "corollary1", "eq2", "eq-multi",
                              "example1", "example1-variant", "example3",
                              "myopic-eq"}
+
+
+def test_special_cases_keep_their_names():
+    """lemma1 is one block of corollary1 and example1 the variant Q^1; each
+    keeps its own name, which compiled names and reports carry."""
+    f = random_truth_table(4, 1, seed=0)
+    assert lemma1_protocol(f).name == "lemma1[k=4,n=1]"
+    assert corollary1_protocol(f, 3).name == "corollary1[k=4,n=1,ell=3]"
+    g = random_truth_table(4, 2, seed=11)
+    assert example1_protocol(g).name == "example1[k=4,n=2]"
+    assert example1_variant(g, 1).name == "example1-variant[k=4,n=2,i=1]"
