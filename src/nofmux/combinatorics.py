@@ -8,6 +8,7 @@ to a multiplexing set.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -115,6 +116,27 @@ def _fail(reason: str) -> CheckResult:
 _OK = CheckResult(True)
 
 
+def _check_shape(kind: str, k: int, triplets: Sequence,
+                 perms: Sequence[Permutation] | None = None,
+                 ell: int | None = None) -> None:
+    """Raise DomainError unless the permutations and the triplets' entries
+    fit k parties and, where ``ell`` is given, ell protocols; every
+    certificate read and every validator runs this before anything else."""
+    if perms is not None and any(p.k != k for p in perms):
+        raise DomainError(f"need permutations of [1,{k}]")
+    # range tops of each triplet's fields: parties, positions that have a
+    # successor, protocol indices
+    tops = {"filtering": (k, k, k), "multiplexing": (k, k, ell),
+            "repetitive": (k - 1, k, ell)}[kind]
+    for t in triplets:
+        first, second, group = dataclasses.astuple(t)
+        for top, values in zip(tops, ((first,), (second,), group)):
+            if top is not None and not all(1 <= v <= top for v in values):
+                raise DomainError(f"triplet ({first}, {second}, "
+                                  f"{sorted(group)}) has an entry outside "
+                                  f"[1,{top}]")
+
+
 def map_images(perms: Sequence[Permutation], b: int,
                indices: Iterable[int]) -> frozenset[int]:
     """MAP over the given permutation indices: the images of b."""
@@ -132,9 +154,7 @@ def permute_graph(graph: RestrictionGraph, pi: Permutation) -> RestrictionGraph:
 def is_good_triplet(t: MultiplexTriplet, perms: Sequence[Permutation],
                     graph: RestrictionGraph) -> CheckResult:
     """The three goodness conditions for combining sender a's messages."""
-    ell = len(perms)
-    if any(r < 1 or r > ell for r in t.R):
-        raise DomainError(f"R {sorted(t.R)} not within [1,{ell}]")
+    _check_shape("multiplexing", graph.k, (t,), perms, len(perms))
     if map_images(perms, t.a, t.R) != {t.a}:
         return _fail(f"condition 1: {t.a} is not fixed by all permutations "
                      f"in R={sorted(t.R)}")
@@ -164,6 +184,7 @@ def is_multiplexing_set(triplets: Sequence[MultiplexTriplet],
                         graph: RestrictionGraph) -> CheckResult:
     """Every triplet good, senders never among others' recipients, and
     recipient footprints pairwise disjoint."""
+    _check_shape("multiplexing", graph.k, triplets, perms, len(perms))
     for t in triplets:
         res = is_good_triplet(t, perms, graph)
         if not res:
@@ -195,6 +216,7 @@ class FilteringCheck:
 def is_filtering_set(triplets: Sequence[FilteringTriplet],
                      graph: RestrictionGraph, ell: int) -> FilteringCheck:
     """Per-triplet containment, pairwise disjointness, and R(S) <= ell - 1."""
+    _check_shape("filtering", graph.k, triplets)
     r_values: dict[int, int] = {}
     for t in triplets:
         r_values[t.a] = r_values.get(t.a, 0) + len(t.B)
@@ -205,9 +227,6 @@ def is_filtering_set(triplets: Sequence[FilteringTriplet],
         return FilteringCheck(False, reason, r_values, is_ell)
 
     for t in triplets:
-        for p in (t.a, t.b, *t.B):
-            if not (1 <= p <= graph.k):
-                raise DomainError(f"party {p} out of range for k={graph.k}")
         if not set(t.B) <= graph.non_neighbors(t.a):
             return fail(f"triplet ({t.a},{t.b},{list(t.B)}): B is not within "
                         f"the non-neighbors of {t.a}")
@@ -345,11 +364,8 @@ def is_binding_triplet(t: BindingTriplet,
                        perms: Sequence[Permutation]) -> CheckResult:
     """One sender at a fixed chain position, distinct successors, and no
     successor already seen earlier in any of the chains."""
-    k = perms[0].k if perms else 0
-    if t.pos >= k:
-        raise DomainError(f"position {t.pos} needs a successor (k={k})")
-    if any(u < 1 or u > len(perms) for u in t.U):
-        raise DomainError(f"U {sorted(t.U)} not within [1,{len(perms)}]")
+    _check_shape("repetitive", perms[0].k if perms else 0, (t,), perms,
+                 len(perms))
     if any(perms[u - 1](t.pos) != t.s for u in t.U):
         return _fail(f"condition 1: not every chain in U={sorted(t.U)} puts "
                      f"party {t.s} at position {t.pos}")
@@ -365,6 +381,8 @@ def is_binding_triplet(t: BindingTriplet,
 
 def is_repetitive_set(triplets: Sequence[BindingTriplet],
                       perms: Sequence[Permutation]) -> CheckResult:
+    _check_shape("repetitive", perms[0].k if perms else 0, triplets, perms,
+                 len(perms))
     for t in triplets:
         res = is_binding_triplet(t, perms)
         if not res:
@@ -404,7 +422,8 @@ def certificate_to_json(kind: str, k: int, ell: int, triplets: Sequence,
 
 def certificate_from_json(data: Mapping) -> tuple[str, int, int, tuple,
                                                   tuple[Permutation, ...] | None]:
-    """Returns (kind, k, ell, triplets, permutations-or-None)."""
+    """Returns (kind, k, ell, triplets, permutations-or-None); permutations
+    or triplet entries that do not fit ``k`` raise DomainError."""
     kind = data["kind"]
     k, ell = int(data["k"]), int(data["ell"])
     raw = data["triplets"]
@@ -423,6 +442,7 @@ def certificate_from_json(data: Mapping) -> tuple[str, int, int, tuple,
     if "permutations" in data:
         perms = tuple(Permutation(tuple(map(int, img)))
                       for img in data["permutations"])
+    _check_shape(kind, k, triplets, perms)
     return kind, k, ell, triplets, perms
 
 

@@ -83,7 +83,7 @@ def bits_to_int(bits: str) -> int:
 def xor_bits(a: str, b: str) -> str:
     if len(a) != len(b):
         raise DomainError(f"xor of unequal lengths {len(a)} and {len(b)}")
-    return "".join("1" if x != y else "0" for x, y in zip(a, b))
+    return format(int(a, 2) ^ int(b, 2), "b").zfill(len(a)) if a else ""
 
 
 def _check_bits(payload: str) -> None:

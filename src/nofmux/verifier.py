@@ -317,46 +317,76 @@ def _rounds_of(tr: Transcript, p: int, rounds: int, on_board: bool
     return heard, sent
 
 
+# a larger domain is spot-checked, not swept: a table would cost it more
+_TABLE_CAP = 1 << 16
+
+
 def check_view_legality(spec: ProtocolSpec, x: InputMatrix) -> None:
     """Bit-flip fuzzing: flipping a bit invisible to party p must not change
     what p sends, as long as p's perceived state is unchanged.
 
-    For every party p and every input bit p cannot see, runs the protocol on
-    the flipped input and compares p's outgoing messages round by round,
+    For every party p and every input bit p cannot see, compares p's
+    outgoing messages on the input and on the flipped input round by round,
     stopping at the first round where p's inbox or the board (p's perceived
     state) diverges -- after that point changes are legitimate reactions.
-    Each flipped input runs once, shared by every party that cannot see the
-    flipped bit.
+
+    Runs come from a per-index table on the spec.  An index runs the first
+    time it is needed, as base or as flip (its index XOR one bit), and its
+    transcript is split once per party into per-round (heard, sent) record
+    lists interned to ids, so each input of a full domain runs once.  A run
+    that raises is never stored.  A domain of more than ``_TABLE_CAP``
+    inputs keeps no table: each call runs its base and each distinct flip
+    once.
     """
-    base = run_protocol(spec, x)
+    if (x.k, x.n, x.ell) != (spec.k, spec.n, spec.ell):
+        run_protocol(spec, x)  # raises the runner's shape DomainError
+    k, n, width = spec.k, spec.n, spec.k * spec.n * x.ell
+    if 1 << width <= _TABLE_CAP:
+        if "legality" not in spec._memo:
+            spec._memo["legality"] = ([None] * (1 << width), {}, {})
+        table, ids, shared = spec._memo["legality"]
+        lookup = table.__getitem__
+    else:
+        table, ids, shared = {}, {}, {}
+        lookup = table.get
     on_board = spec.model is Model.NOF_BOARD
-    runs: dict[tuple[int, int, int], Transcript] = {}
-    for p in range(1, spec.k + 1):
+
+    def run(idx: int, y: InputMatrix | None = None) -> tuple:
+        """Run input ``idx`` and store its per-party (heard, sent) ids."""
+        tr = run_protocol(spec, y or InputMatrix.from_index(idx, k, n, x.ell))
+        parties = []
+        for p in range(1, k + 1):
+            heard, sent = _rounds_of(tr, p, spec.rounds, on_board)
+            pairs = tuple((ids.setdefault(tuple(heard[t - 1]), len(ids)),
+                           ids.setdefault(tuple(sent[t]), len(ids)))
+                          for t in range(1, spec.rounds + 1))
+            parties.append(shared.setdefault(pairs, pairs))
+        row = table[idx] = shared.setdefault(tuple(parties), tuple(parties))
+        return row
+
+    idx = x.index
+    base = lookup(idx) or run(idx, x)
+    for p in range(1, k + 1):
         seen = spec._seen[p - 1]
         invisible = [(i, j) for i in range(1, x.ell + 1)
-                     for j in range(1, spec.k + 1)
+                     for j in range(1, k + 1)
                      if j != p and j not in seen] + \
                     [(i, p) for i in range(1, x.ell + 1)]
-        heard_base, sent_base = _rounds_of(base, p, spec.rounds, on_board)
+        mine = base[p - 1]
         for (i, j) in invisible:
-            for bit in range(spec.n):
-                other = runs.get((i, j, bit))
-                if other is None:
-                    rows = [list(r) for r in x.rows]
-                    word = rows[i - 1][j - 1]
-                    rows[i - 1][j - 1] = (word[:bit]
-                                          + ("1" if word[bit] == "0" else "0")
-                                          + word[bit + 1:])
-                    flipped = InputMatrix(x.ell, x.k, x.n,
-                                          tuple(tuple(r) for r in rows))
-                    other = runs[i, j, bit] = run_protocol(spec, flipped)
-                heard, sent = _rounds_of(other, p, spec.rounds, on_board)
-                for t in range(1, spec.rounds + 1):
+            for bit in range(n):
+                pos = ((i - 1) * k + j - 1) * n + bit
+                flip = idx ^ (1 << (width - 1 - pos))
+                theirs = (lookup(flip) or run(flip))[p - 1]
+                if theirs is mine:
+                    continue
+                for t, ((heard, sent), (heard2, sent2)) in enumerate(
+                        zip(mine, theirs), start=1):
                     # p's perceived state before round t: rounds < t - 1
                     # already matched, so only round t - 1 is compared
-                    if heard_base[t - 1] != heard[t - 1]:
+                    if heard != heard2:
                         break
-                    if sent_base[t] != sent[t]:
+                    if sent != sent2:
                         raise DomainError(
                             f"{spec.name}: party {p} reacted to invisible "
                             f"bit ({i},{j},{bit}) in round {t}")

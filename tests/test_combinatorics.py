@@ -308,6 +308,20 @@ def test_certificate_json_roundtrip(kind, triplets):
     assert perms2 == perms
 
 
+def test_certificate_that_does_not_fit_its_k_is_rejected():
+    """Permutations of [1,3] in a k=5 certificate are a shape error, not a
+    failed condition 1; so is a graph whose k differs from theirs."""
+    with pytest.raises(DomainError, match=r"permutations of \[1,5\]"):
+        certificate_from_json({
+            "kind": "repetitive", "k": 5, "ell": 2,
+            "triplets": [[2, 2, [1, 2]]],
+            "permutations": [[1, 2, 3], [2, 3, 1]]})
+    perms = (Permutation((1, 2, 3)), Permutation((1, 3, 2)))
+    with pytest.raises(DomainError, match=r"permutations of \[1,4\]"):
+        is_multiplexing_set((MultiplexTriplet(1, 2, frozenset({2})),),
+                            perms, RestrictionGraph(4, frozenset()))
+
+
 def test_certificate_rejects_unknown_kind():
     with pytest.raises(DomainError):
         certificate_to_json("bogus", 3, 2, ())

@@ -35,8 +35,20 @@ def test_xor_bits_matches_integer_xor(a, b):
 
 
 def test_xor_bits_rejects_unequal_lengths():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         xor_bits("01", "011")
+    assert str(err.value) == "xor of unequal lengths 2 and 3"
+
+
+@given(st.integers(min_value=0, max_value=40).flatmap(
+    lambda width: st.tuples(*[st.text("01", min_size=width,
+                                      max_size=width)] * 2)))
+def test_xor_bits_matches_per_character_reference(pair):
+    """Leading zeros and the empty string keep their width."""
+    a, b = pair
+    reference = "".join("1" if x != y else "0" for x, y in zip(a, b))
+    assert xor_bits(a, b) == reference
+    assert xor_bits("", "") == ""
 
 
 # ---------------------------------------------------------------------------

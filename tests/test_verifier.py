@@ -9,13 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from nofmux import (
     BOARD, DEFAULT_BUDGET, BudgetError, CommPattern, DomainError, InputMatrix,
-    Model, ObliviousnessError, Outgoing, Permutation, ProtocolSpec,
-    RestrictionGraph, TruthTable, bits_to_int, board_outputs,
-    check_prefix_free, check_view_legality, domain_size, eq_two_bit_protocol,
-    exhaustive_verify,
-    is_prefix_free, lemma1_protocol, measure_cost, messages_at_position,
-    myopic_eq_chain, oracle_evaluate, random_truth_table, sampled_verify,
+    LegalityError, Model, NofmuxError, ObliviousnessError, Outgoing,
+    Permutation, ProtocolSpec, RestrictionGraph, TruthTable, bits_to_int,
+    board_outputs, check_prefix_free, check_view_legality, domain_size,
+    eq_two_bit_protocol, exhaustive_verify, is_prefix_free, lemma1_protocol,
+    measure_cost, messages_at_position, myopic_eq_chain, oracle_evaluate,
+    random_truth_table, run_protocol, sampled_verify,
 )
+from nofmux.verifier import _rounds_of
+from test_protocols import _small_builtins
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +245,9 @@ def test_bit_flip_fuzzing_flags_extra_view_dependence():
         check_view_legality(sneaky, InputMatrix.single("0", "1"))
 
 
-def test_bit_flip_fuzzing_reports_the_first_party_of_a_shared_flip():
+def _leaky():
     """x_1 is hidden from parties 1, 3 and 4.  Party 2 sees it and leaks
-    it, before they speak, to parties 3 and 4, which both send it on.
-    The flipped run of x_1 is shared by all three parties; party 1 does not
-    react, so the first party reported is party 3."""
+    it, before they speak, to parties 3 and 4, which both send it on."""
     leak = {}
 
     def next_message(p, t, views, inbox, board):
@@ -259,12 +259,126 @@ def test_bit_flip_fuzzing_reports_the_first_party_of_a_shared_flip():
     graph = RestrictionGraph(4, frozenset({
         (1, 2), (1, 3), (1, 4), (2, 1), (2, 3), (2, 4), (3, 2), (3, 4),
         (4, 2), (4, 3)}))
-    leaky = ProtocolSpec(
+    return ProtocolSpec(
         name="leaky", model=Model.NOF_GRAPH, k=4, n=1, ell=1, rounds=1,
         next_message=next_message, output_party=2, graph=graph,
         output_rule=lambda views, inbox, board: {1: 0})
+
+
+def test_bit_flip_fuzzing_reports_the_first_party_of_a_shared_flip():
+    """The flipped run of x_1 is shared by parties 1, 3 and 4; party 1
+    does not react, so the first party reported is party 3."""
+    leaky = _leaky()
     for idx in range(domain_size(4, 1, 1)):
         with pytest.raises(DomainError) as err:
             check_view_legality(leaky, InputMatrix.from_index(idx, 4, 1, 1))
         assert str(err.value) == ("leaky: party 3 reacted to invisible bit "
                                   "(1,1,0) in round 1")
+
+
+def _reference_view_legality(spec, x):
+    """The per-call algorithm: run the input, then each distinct flip of
+    the input once, rebuilt as a matrix, and compare transcripts split per
+    party.  Kept as the reference that the table must agree with."""
+    base = run_protocol(spec, x)
+    on_board = spec.model is Model.NOF_BOARD
+    runs = {}
+    for p in range(1, spec.k + 1):
+        seen = spec.visibility().neighbors(p)
+        invisible = [(i, j) for i in range(1, x.ell + 1)
+                     for j in range(1, spec.k + 1)
+                     if j != p and j not in seen] + \
+                    [(i, p) for i in range(1, x.ell + 1)]
+        heard_base, sent_base = _rounds_of(base, p, spec.rounds, on_board)
+        for (i, j) in invisible:
+            for bit in range(spec.n):
+                other = runs.get((i, j, bit))
+                if other is None:
+                    rows = [list(r) for r in x.rows]
+                    word = rows[i - 1][j - 1]
+                    rows[i - 1][j - 1] = (word[:bit]
+                                          + ("1" if word[bit] == "0" else "0")
+                                          + word[bit + 1:])
+                    flipped = InputMatrix(x.ell, x.k, x.n,
+                                          tuple(tuple(r) for r in rows))
+                    other = runs[i, j, bit] = run_protocol(spec, flipped)
+                heard, sent = _rounds_of(other, p, spec.rounds, on_board)
+                for t in range(1, spec.rounds + 1):
+                    if heard_base[t - 1] != heard[t - 1]:
+                        break
+                    if sent_base[t] != sent[t]:
+                        raise DomainError(
+                            f"{spec.name}: party {p} reacted to invisible "
+                            f"bit ({i},{j},{bit}) in round {t}")
+
+
+def _outcome(check, spec, x):
+    try:
+        check(spec, x)
+    except NofmuxError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _forehead_forwarding_lemma1():
+    """Seeded fault in lemma1: in round 1 party 2 saves x_{1,3}, which it
+    sees, in a closure dict, and party 3 then writes that bit of its own
+    forehead on the board after its real message."""
+    spec = lemma1_protocol(random_truth_table(3, 1, 24))
+    saved = {}
+
+    def next_message(p, t, views, inbox, board):
+        out = list(spec.next_message(p, t, views, inbox, board))
+        if t == 1 and p == 2:
+            saved["x13"] = views[1][3]
+        if t == 1 and p == 3:
+            out.append(Outgoing(BOARD, saved["x13"]))
+        return out
+
+    return dataclasses.replace(spec, name="forwarding",
+                               next_message=next_message)
+
+
+def test_legality_table_agrees_with_per_call_reruns():
+    """Every input of each spec gets the same outcome from the table as
+    from the per-call reference: a pass, or the same first error."""
+    specs = [*_small_builtins(), _leaky(), _forehead_forwarding_lemma1()]
+    for spec in specs:
+        outcomes = set()
+        for idx in range(domain_size(spec.k, spec.n, spec.ell)):
+            x = InputMatrix.from_index(idx, spec.k, spec.n, spec.ell)
+            want = _outcome(_reference_view_legality, spec, x)
+            assert _outcome(check_view_legality, spec, x) == want, (
+                spec.name, idx)
+            outcomes.add(want)
+        if spec.name == "forwarding":
+            assert outcomes == {("DomainError", "forwarding: party 3 reacted "
+                                 "to invisible bit (1,3,0) in round 1")}
+
+
+def test_legality_table_is_kept_only_for_small_domains():
+    small, large = eq_two_bit_protocol(4, 1), eq_two_bit_protocol(9, 2)
+    assert domain_size(9, 2, 1) > 2 ** 16
+    for spec in (small, large):
+        check_view_legality(spec, InputMatrix.from_index(0, spec.k, spec.n,
+                                                         spec.ell))
+    assert "legality" in small._memo
+    assert "legality" not in large._memo
+
+
+def test_hidden_read_on_a_flipped_input_raises_on_every_call():
+    """Party 2 reads its own forehead only when x_1 is 1, so input
+    (0, 1) runs cleanly and its flip (1, 1) raises: on every call."""
+    def next_message(p, t, views, inbox, board):
+        if p == 2 and views[1][1] == "1":
+            return [Outgoing(BOARD, views[1][2])]
+        return []
+
+    spec = ProtocolSpec(
+        name="peeks", model=Model.NOF_BOARD, k=2, n=1, ell=1, rounds=1,
+        next_message=next_message, output_party=1,
+        output_rule=lambda views, inbox, board: {1: 0})
+    run_protocol(spec, InputMatrix.single("0", "1"))
+    for _ in range(3):
+        with pytest.raises(LegalityError):
+            check_view_legality(spec, InputMatrix.single("0", "1"))
