@@ -145,7 +145,8 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
 
     The demux schedule is fixed here, once: which board records feed each
     (instance, party) inbox, which instances each party runs in each round,
-    and which components each block recipient recomputes.
+    which components each block recipient recomputes, and every framing
+    tag.
     """
     k, n, ell = protos[0].k, protos[0].n, len(protos)
     # (j, j) for each j whose input party p sees in instance u
@@ -155,14 +156,21 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
         graph = q.visibility()
         for p in range(1, k + 1):
             reads[u, p] = tuple(pairs[j] for j in graph.neighbors(p))
+    # (instance, party) pairs whose base graph hides nothing more from the
+    # party than the board does: its own view passes through unchanged
+    whole = {key for key, pairs_read in reads.items()
+             if len(pairs_read) == k - 1}
+    to_tags = {p: _tag("to", p) for p in range(1, k + 1)}
+    mux_tags = [_tag("mux", gi) for gi in range(len(groups))]
+    out_tags = {u: _tag("out", u) for u in range(1, ell + 1)}
     consumed = {(u, g.sender, rcpt): gi for gi, g in enumerate(groups)
                 for (u, rcpt) in g.components}
     # (protocol, tag) of a board record -> the (instance, party, group)
     # inboxes it feeds; a plain record has no group
-    feeds = {(u, _tag("to", p)): ((u, p, None),)
+    feeds = {(u, to_tags[p]): ((u, p, None),)
              for u in range(1, ell + 1) for p in range(1, k + 1)}
     for gi, g in enumerate(groups):
-        feeds[None, _tag("mux", gi)] = tuple(
+        feeds[None, mux_tags[gi]] = tuple(
             (u, p, gi) for u, p in dict.fromkeys(g.components))
     # the components recipient ``p`` recomputes to strip block gi
     others = {(gi, c): tuple(d for d in g.components if d != c)
@@ -197,10 +205,12 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
         view = views[u]
         try:
             if guess is None:
+                if party == view.owner and (u, party) in whole:
+                    return view
                 return view._project(party, reads[u, party])
             j, word = guess
-            return View(party, {q: word if q == j else view[q]
-                                for q, _ in reads[u, party]})
+            return View._of(party, {q: word if q == j else view[q]
+                                    for q, _ in reads[u, party]})
         except LegalityError as exc:
             raise SoundnessError(
                 f"reconstruction needs an input hidden from the "
@@ -277,7 +287,7 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
                     {1: sub_view(p, u, views)},
                     inbox(p, u, t, fed, views, strip), None)
                 outs.append(Outgoing(BOARD, str(bits[1]), protocol=u,
-                                     tag=_tag("out", u)))
+                                     tag=out_tags[u]))
             return outs
         staged: dict[int, dict[tuple[int, int], str]] = {}
         results = []
@@ -287,8 +297,10 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
                     p, t, {1: sub_view(p, u, views)}, history, None):
                 gi = consumed.get((u, p, o.recipient))
                 if gi is None:
-                    results.append(Outgoing(BOARD, o.payload, protocol=u,
-                                            tag=_tag("to", o.recipient)))
+                    results.append(Outgoing(
+                        BOARD, o.payload, protocol=u,
+                        tag=to_tags.get(o.recipient)
+                        or _tag("to", o.recipient)))
                 else:
                     staged.setdefault(gi, {})[(u, o.recipient)] = o.payload
         for gi, parts in sorted(staged.items()):
@@ -301,7 +313,7 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
             for w in payloads:
                 acc = xor_bits(acc, w.ljust(width, "0"))
             if width:
-                results.append(Outgoing(BOARD, acc, tag=_tag("mux", gi)))
+                results.append(Outgoing(BOARD, acc, tag=mux_tags[gi]))
         return results
 
     def output_rule(views, board_inbox, board):

@@ -182,7 +182,10 @@ class InputMatrix:
         rows = tuple(
             tuple(flat[(i * k + j) * n:(i * k + j + 1) * n] for j in range(k))
             for i in range(ell))
-        return cls(ell, k, n, rows)
+        # the shape and the bits hold by construction: skip __post_init__
+        x = object.__new__(cls)
+        vars(x).update(ell=ell, k=k, n=n, rows=rows)
+        return x
 
     @classmethod
     def single(cls, *inputs: str) -> "InputMatrix":
@@ -262,16 +265,26 @@ class View:
     """The inputs one party sees in one instance.
 
     Reading a party that is not visible raises LegalityError, so a
-    next-message rule physically cannot peek at its own forehead.
+    next-message rule physically cannot peek at its own forehead.  A view
+    is immutable, so it keeps the projections made from it.
     """
 
-    __slots__ = ("owner", "_visible")
+    __slots__ = ("owner", "_visible", "_projections")
 
     def __init__(self, owner: int, visible: Mapping[int, str]):
         if owner in visible:
             raise LegalityError(f"party {owner} cannot see its own forehead")
         self.owner = owner
         self._visible = dict(visible)
+        self._projections = {}
+
+    @classmethod
+    def _of(cls, owner: int, visible: dict[int, str]) -> "View":
+        """A view that takes ``visible``, a fresh dict without ``owner``,
+        as it is."""
+        view = cls.__new__(cls)
+        view.owner, view._visible, view._projections = owner, visible, {}
+        return view
 
     def __getitem__(self, party: int) -> str:
         try:
@@ -287,13 +300,22 @@ class View:
                  reads: Sequence[tuple[int, int]]) -> "View":
         """``owner``'s view with x_q read from this view's x_src for each
         (q, src) in ``reads``; a hidden src raises the LegalityError that
-        reading it would."""
+        reading it would, on every call.  The result is kept per (owner,
+        reads)."""
+        key = (owner, reads)
+        view = self._projections.get(key)
+        if view is not None:
+            return view
         visible = self._visible
         try:
-            return View(owner, {q: visible[src] for q, src in reads})
+            projected = {q: visible[src] for q, src in reads}
         except KeyError as exc:
-            hidden = exc.args[0]
-        raise LegalityError(f"party {self.owner} cannot see x_{hidden}")
+            raise LegalityError(f"party {self.owner} cannot see "
+                                f"x_{exc.args[0]}") from None
+        if owner in projected:
+            raise LegalityError(f"party {owner} cannot see its own forehead")
+        view = self._projections[key] = View._of(owner, projected)
+        return view
 
     def parties(self) -> frozenset[int]:
         return frozenset(self._visible)
@@ -509,22 +531,40 @@ def _round_order(r: MessageRecord) -> tuple[int, int, int]:
     return (r.sender, r.protocol or 0, r.recipient)
 
 
+# a spec with at most this many (party, row) views keeps them all
+_VIEW_TABLE_CAP = 512
+
+
 def run_protocol(spec: ProtocolSpec, x: InputMatrix) -> Transcript:
     """Execute all rounds synchronously and collect the declared outputs.
 
     Messages sent in round t may depend only on rounds 1..t-1.  Within a
     round, records are ordered by (sender, protocol index, recipient).
     Views are those of ``compute_view``, built from the spec's visibility
-    table.  On the board every record goes to BOARD, so inboxes are empty;
-    otherwise each party's inbox grows by its records of each round.
+    table.  A spec with at most ``_VIEW_TABLE_CAP`` views, k * 2^(k*n),
+    keeps them in ``spec._memo``, keyed by input row, so each is built
+    once along with the projections made from it.  On the board every
+    record goes to BOARD, so inboxes are empty; otherwise each party's
+    inbox grows by its records of each round.
     """
     if (x.k, x.n, x.ell) != (spec.k, spec.n, spec.ell):
         raise DomainError(
             f"input shape ({x.k},{x.n},{x.ell}) does not match protocol "
             f"({spec.k},{spec.n},{spec.ell})")
-    views = {p: {i: View(p, {j: row[j - 1] for j in seen})
-                 for i, row in enumerate(x.rows, start=1)}
-             for p, seen in enumerate(spec._seen, start=1)}
+    table = spec._memo.get("views")
+    if table is None:
+        table = {}
+        if spec.k << (spec.k * spec.n) <= _VIEW_TABLE_CAP:
+            spec._memo["views"] = table
+    by_row = []
+    for row in x.rows:
+        if row not in table:
+            table[row] = tuple(View._of(p, {j: row[j - 1] for j in seen})
+                               for p, seen in enumerate(spec._seen, start=1))
+        by_row.append(table[row])
+    views = {p: {i: row_views[p - 1]
+                 for i, row_views in enumerate(by_row, start=1)}
+             for p in range(1, spec.k + 1)}
     on_board = spec.model is Model.NOF_BOARD
     inboxes: dict[int, tuple[MessageRecord, ...]] = dict.fromkeys(views, ())
     records: list[MessageRecord] = []

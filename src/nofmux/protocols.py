@@ -261,20 +261,21 @@ def myopic_eq_chain(k: int, n: int, pi: Permutation) -> ProtocolSpec:
         raise DomainError("myopic_eq_chain needs k >= 4")
     if pi.k != k:
         raise DomainError("chain permutation arity mismatch")
+    at = (0,) + pi.image  # at[t] = pi(t)
 
     def next_message(p, t, views, inbox, board):
-        if 2 <= t <= k - 1 and p == pi(t):
-            step = int(views[1][pi(t - 1)] == views[1][pi(t + 1)])
+        if 2 <= t <= k - 1 and p == at[t]:
+            step = int(views[1][at[t - 1]] == views[1][at[t + 1]])
             if t == 2:
                 bit = step
             else:
                 bit = int(inbox[-1].payload) & step
-            return [Outgoing(pi(t + 1), str(bit))]
+            return [Outgoing(at[t + 1], str(bit))]
         return []
 
     def output_rule(views, inbox, board):
         prev = int(inbox[-1].payload)
-        mine = _all_equal(views[1][pi(j)] for j in range(1, k))
+        mine = _all_equal(views[1][at[j]] for j in range(1, k))
         return {1: prev & mine}
 
     lengths = {(t, pi(t), pi(t + 1)): 1 for t in range(2, k)}

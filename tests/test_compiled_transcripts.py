@@ -15,12 +15,12 @@ import hashlib
 import pytest
 
 from nofmux import (
-    BindingTriplet, InputMatrix, Model, NofmuxError, Outgoing, Permutation,
-    ProtocolSpec, TruthTable, compile_symmetric, corollary1_protocol,
-    domain_size, example1_protocol, example3_filtering_triplets,
-    example3_graph, example3_protocol, exhaustive_verify, lemma1_protocol,
-    multiplex_combine, myopic_combine, myopic_eq_chain, random_truth_table,
-    run_protocol,
+    BindingTriplet, InputMatrix, LegalityError, Model, NofmuxError, Outgoing,
+    Permutation, ProtocolSpec, TruthTable, View, check_replay_determinism,
+    compile_symmetric, corollary1_protocol, domain_size, example1_protocol,
+    example3_filtering_triplets, example3_graph, example3_protocol,
+    exhaustive_verify, lemma1_protocol, multiplex_combine, myopic_combine,
+    myopic_eq_chain, permute_protocol, random_truth_table, run_protocol,
 )
 from nofmux.acceptance import chained_equality_plan, forwarding_pipeline_plan
 
@@ -174,3 +174,77 @@ def test_flipped_block_bit_is_caught(build):
     assert flips, "the compiled protocol wrote no XOR block"
     assert len(set(flips)) == 1, "expected one block per run"
     assert caught
+
+
+def test_warm_view_table_replays_every_cold_transcript():
+    """Runs that share the spec's interned views and their projections
+    give the transcripts of runs on a fresh spec, on every t2 input of
+    the k=5, ell=2 pipeline."""
+    spec = _equality()
+    inputs = [InputMatrix.from_index(idx, spec.k, spec.n, spec.ell)
+              for idx in range(domain_size(spec.k, spec.n, spec.ell))]
+    cold = [run_protocol(dataclasses.replace(spec), x) for x in inputs]
+    for x in inputs:
+        run_protocol(spec, x)
+    assert len(spec._memo["views"]) == 2 ** spec.k
+    for x, want in zip(inputs, cold):
+        assert check_replay_determinism(spec, x) == want
+
+
+def _wrong_row_plan(u, v):
+    """The k=5, ell=3 equality pipeline whose instance u runs the base
+    protocol permuted by matrix row v, under instance u's name, graph and
+    declared pattern.  Rows 1 and 3 are both the identity, so the pairs
+    with different rows are (1, 2), (2, 1), (2, 3) and (3, 2)."""
+    base, f = example3_protocol(5, 1), TruthTable.eq(5, 1)
+    _, plan, matrix = compile_symmetric(
+        base, f, example3_graph(5), example3_filtering_triplets(5), ell=3)
+    row = matrix.rows[v - 1]
+    assert row != matrix.rows[u - 1]
+    wrong = base if row.is_identity() else permute_protocol(base, row)
+    protos = list(plan.protocols)
+    protos[u - 1] = dataclasses.replace(
+        protos[u - 1], next_message=wrong.next_message,
+        output_rule=wrong.output_rule)
+    return dataclasses.replace(plan, protocols=tuple(protos)), f
+
+
+@pytest.mark.parametrize("u, v", [(1, 2), (2, 1), (2, 3), (3, 2)])
+def test_wrong_row_permutation_is_caught(u, v):
+    """The verifier is not vacuous: an instance protocol permuted by
+    another row of the matrix must fail compilation, the pattern check or
+    the oracle."""
+    plan, f = _wrong_row_plan(u, v)
+    try:
+        report = exhaustive_verify(multiplex_combine(plan), f)
+    except NofmuxError:
+        caught = True
+    else:
+        caught = not report.correct
+    assert caught
+
+
+def test_instance_protocol_cannot_read_past_its_graph():
+    """An instance protocol gets only what its own graph shows, even when
+    the compiled board shows its party more: example3's graph hides x_4
+    from P_5."""
+    base = example3_protocol(5, 1)
+
+    def next_message(p, t, views, inbox, board):
+        if p == 5:
+            views[1][4]
+        return base.next_message(p, t, views, inbox, board)
+
+    _, plan, _ = compile_symmetric(
+        base, TruthTable.eq(5, 1), example3_graph(5),
+        example3_filtering_triplets(5), ell=2)
+    leaky = dataclasses.replace(base, next_message=next_message)
+    spec = multiplex_combine(dataclasses.replace(
+        plan, protocols=(leaky,) + plan.protocols[1:]))
+    # P_5 computing its own message, on the board view that shows x_4
+    board_view = {u: View(5, {1: "0", 2: "0", 3: "0", 4: "0"}) for u in (1, 2)}
+    with pytest.raises(LegalityError, match="party 5 cannot see x_4"):
+        spec.next_message(5, 1, board_view, (), ())
+    # P_2 recomputing P_5's message to strip their shared block
+    with pytest.raises(LegalityError, match="party 5 cannot see x_4"):
+        run_protocol(spec, InputMatrix.from_index(0, 5, 1, 2))

@@ -7,8 +7,8 @@ from nofmux import (
     BOARD, BudgetError, CommPattern, DomainError, InputMatrix, LegalityError,
     Model, ObliviousnessError, Outgoing, ProtocolSpec, RestrictionGraph,
     TruthTable, View, bits_to_int, board_outputs, check_replay_determinism,
-    check_symmetry, compute_view, domain_size, enumerate_inputs, int_to_bits,
-    measure_cost, run_protocol, xor_bits,
+    check_symmetry, compute_view, domain_size, enumerate_inputs,
+    eq_two_bit_protocol, int_to_bits, measure_cost, run_protocol, xor_bits,
 )
 from nofmux.core import MessageRecord
 
@@ -65,6 +65,16 @@ def test_input_matrix_index_roundtrip(k, n, ell, data):
     x = InputMatrix.from_index(idx, k, n, ell)
     assert x.index == idx
     assert InputMatrix.from_index(x.index, k, n, ell) == x
+
+
+def test_from_index_equals_public_constructor():
+    """from_index skips the constructor's checks, so it must build what
+    the checked constructor builds, on every index."""
+    k, n, ell = 3, 2, 2
+    for idx in range(domain_size(k, n, ell)):
+        x = InputMatrix.from_index(idx, k, n, ell)
+        assert x == InputMatrix(ell, k, n, x.rows)
+        assert x.index == idx
 
 
 def test_input_matrix_entry_addressing():
@@ -132,6 +142,30 @@ def test_view_denies_invisible_parties():
         v[2]
     with pytest.raises(LegalityError):
         View(1, {1: "00"})
+
+
+def test_projection_is_kept_and_a_hidden_one_raises_every_time():
+    v = View(2, {1: "01", 3: "10"})
+    seen = v._project(3, ((1, 1), (2, 3)))
+    assert seen == View(3, {1: "01", 2: "10"})
+    assert v._project(3, ((1, 1), (2, 3))) is seen
+    for _ in range(2):
+        with pytest.raises(LegalityError, match="party 2 cannot see x_2"):
+            v._project(1, ((3, 3), (2, 2)))
+    with pytest.raises(LegalityError, match="cannot see its own forehead"):
+        v._project(1, ((1, 1),))
+
+
+def test_view_table_is_kept_only_for_small_specs():
+    """A spec keeps its views while k * 2^(k*n) is at most 512; a larger
+    spec builds them on every run."""
+    small, large = eq_two_bit_protocol(3, 2), eq_two_bit_protocol(3, 3)
+    assert 3 << 6 <= 512 < 3 << 9
+    for spec in (small, large):
+        for idx in range(domain_size(spec.k, spec.n, spec.ell)):
+            run_protocol(spec, InputMatrix.from_index(idx, spec.k, spec.n))
+    assert len(small._memo["views"]) == domain_size(3, 2, 1)
+    assert "views" not in large._memo
 
 
 def test_compute_view_follows_graph():
@@ -304,6 +338,8 @@ def test_runner_rejects_non_bit_payload():
 def test_input_matrix_rejects_non_bit_entry():
     with pytest.raises(DomainError, match="'0a' is not a bit string"):
         InputMatrix(1, 3, 2, (("00", "0a", "10"),))
+    with pytest.raises(DomainError, match="'x' is not a bit string"):
+        InputMatrix(1, 2, 1, (("0", "x"),))
 
 
 def test_replay_determinism():
