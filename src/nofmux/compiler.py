@@ -21,10 +21,10 @@ from .combinatorics import (
 )
 from .core import (
     BOARD, BudgetError, CertificateError, CommPattern, DEFAULT_BUDGET,
-    DomainError, LegalityError, MessageRecord, Model, ObliviousnessError,
+    DomainError, LegalityError, Model, ObliviousnessError,
     Outgoing, ProtocolSpec, RestrictionGraph, RobustnessError,
-    SoundnessError, TruthTable, View, board_outputs, check_symmetry,
-    domain_size, xor_bits,
+    SoundnessError, TruthTable, View, _record, board_outputs,
+    check_symmetry, domain_size, xor_bits,
     run_protocol,  # not called here: bench/tracing.py patches it as a span
 )
 from .verifier import _position_sweep, check_prefix_free, exhaustive_verify
@@ -82,9 +82,11 @@ def permute_protocol(spec: ProtocolSpec, pi: Permutation) -> ProtocolSpec:
         view = views[1]._project(orig, sees[orig])
         if not inbox:
             return {1: view}, ()
+        # relabelled checked records: to_orig is a bijection, so the
+        # sender still differs from the recipient
         return {1: view}, tuple(
-            MessageRecord(r.round, to_orig[r.sender], orig, r.payload,
-                          r.protocol, r.tag) for r in inbox)
+            _record(r.round, to_orig[r.sender], orig, r.payload, r.protocol,
+                    r.tag) for r in inbox)
 
     def next_message(p, t, views, inbox, board):
         orig = to_orig[p]
@@ -184,20 +186,28 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
     answers = {p: tuple(u for u, q in enumerate(protos, start=1)
                         if q.output_party == p) for p in range(1, k + 1)}
     words = ["".join(b) for b in itertools.product("01", repeat=n)]
-    last = (None, {})  # the last board indexed, and its index
+    last = ((), {})  # the last board indexed, and its index
 
     def index(board):
-        """(instance, party) -> [(record, group)] in board order.  A board
-        is immutable, so its index is kept until the next board."""
+        """(instance, party) -> [(record, group)] in board order: a plain
+        record is the inbox record it becomes, a block the board record.
+        A board is immutable, and the runner's next board begins with it,
+        so the index of a board that begins with the last one indexed is
+        that index extended by the new records."""
         nonlocal last
-        known = last
-        if known[0] is not board:
-            fed: dict[tuple[int, int], list] = {}
-            for r in board:
-                for u, p, gi in feeds.get((r.protocol, r.tag), ()):
-                    fed.setdefault((u, p), []).append((r, gi))
-            last = known = (board, fed)
-        return known[1]
+        known, fed = last
+        if board is known:
+            return fed
+        start = len(known)
+        if board[:start] != known:
+            fed, start = {}, 0
+        for r in board[start:]:
+            for u, p, gi in feeds.get((r.protocol, r.tag), ()):
+                fed.setdefault((u, p), []).append(
+                    (r, gi) if gi is not None
+                    else (_record(r.round, r.sender, p, r.payload), None))
+        last = (board, fed)
+        return fed
 
     def sub_view(party, u, views, guess=None):
         """``party``'s view of instance u, read from the working party's
@@ -263,16 +273,18 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
             if r.round >= upto:
                 break
             if gi is None:
-                msgs.append(MessageRecord(r.round, r.sender, party,
-                                          r.payload))
-                continue
-            if not demux:
+                record = r
+            elif not demux:
                 raise SoundnessError(
                     f"history of party {party} in instance {u} was "
                     f"multiplexed; certificate should forbid this")
-            msgs.append(MessageRecord(
-                r.round, groups[gi].sender, party,
-                demux(party, u, r, gi, fed, views)))
+            else:
+                record = _record(r.round, groups[gi].sender, party,
+                                 demux(party, u, r, gi, fed, views))
+            # board records hold bits, and so does a stripped block
+            if record.sender == party:
+                raise DomainError("sender equals recipient")
+            msgs.append(record)
         return tuple(msgs)
 
     def next_message(p, t, views, board_inbox, board):

@@ -349,6 +349,17 @@ class MessageRecord:
             raise DomainError("sender equals recipient")
 
 
+def _record(rnd: int, sender: int, recipient: int, payload: str,
+            protocol: int | None = None,
+            tag: str | None = None) -> MessageRecord:
+    """A MessageRecord whose fields the caller has already checked: it
+    skips ``__post_init__``."""
+    record = object.__new__(MessageRecord)
+    vars(record).update(round=rnd, sender=sender, recipient=recipient,
+                        payload=payload, protocol=protocol, tag=tag)
+    return record
+
+
 @dataclass(frozen=True)
 class Outgoing:
     """A message a rule wants to send this round."""
@@ -531,7 +542,8 @@ def _round_order(r: MessageRecord) -> tuple[int, int, int]:
     return (r.sender, r.protocol or 0, r.recipient)
 
 
-# a spec with at most this many (party, row) views keeps them all
+# a spec with at most this many input rows and this many distinct views
+# keeps them all
 _VIEW_TABLE_CAP = 512
 
 
@@ -541,27 +553,38 @@ def run_protocol(spec: ProtocolSpec, x: InputMatrix) -> Transcript:
     Messages sent in round t may depend only on rounds 1..t-1.  Within a
     round, records are ordered by (sender, protocol index, recipient).
     Views are those of ``compute_view``, built from the spec's visibility
-    table.  A spec with at most ``_VIEW_TABLE_CAP`` views, k * 2^(k*n),
-    keeps them in ``spec._memo``, keyed by input row, so each is built
-    once along with the projections made from it.  On the board every
-    record goes to BOARD, so inboxes are empty; otherwise each party's
-    inbox grows by its records of each round.
+    table and interned by what their party sees: rows that show a party
+    the same inputs give it the same view, along with the projections
+    made from it.  A spec whose rows, 2^(k*n), and distinct views, the
+    sum over parties p of 2^(n * |seen_p|), are both at most
+    ``_VIEW_TABLE_CAP`` keeps them in ``spec._memo`` between runs.  On the
+    board every record goes to BOARD, so inboxes are empty; otherwise each
+    party's inbox grows by its records of each round.
     """
     if (x.k, x.n, x.ell) != (spec.k, spec.n, spec.ell):
         raise DomainError(
             f"input shape ({x.k},{x.n},{x.ell}) does not match protocol "
             f"({spec.k},{spec.n},{spec.ell})")
-    table = spec._memo.get("views")
-    if table is None:
-        table = {}
-        if spec.k << (spec.k * spec.n) <= _VIEW_TABLE_CAP:
-            spec._memo["views"] = table
+    kept = spec._memo.get("views")
+    if kept is None:
+        kept = ({}, {})  # row -> views by party, (party, seen) -> view
+        distinct = sum(1 << (spec.n * len(seen)) for seen in spec._seen)
+        if max(1 << (spec.k * spec.n), distinct) <= _VIEW_TABLE_CAP:
+            spec._memo["views"] = kept
+    table, pool = kept
     by_row = []
     for row in x.rows:
-        if row not in table:
-            table[row] = tuple(View._of(p, {j: row[j - 1] for j in seen})
-                               for p, seen in enumerate(spec._seen, start=1))
-        by_row.append(table[row])
+        row_views = table.get(row)
+        if row_views is None:
+            row_views = []
+            for p, seen in enumerate(spec._seen, start=1):
+                key = (p, tuple([row[j - 1] for j in seen]))
+                view = pool.get(key)
+                if view is None:
+                    view = pool[key] = View._of(p, dict(zip(seen, key[1])))
+                row_views.append(view)
+            row_views = table[row] = tuple(row_views)
+        by_row.append(row_views)
     views = {p: {i: row_views[p - 1]
                  for i, row_views in enumerate(by_row, start=1)}
              for p in range(1, spec.k + 1)}
@@ -574,7 +597,7 @@ def run_protocol(spec: ProtocolSpec, x: InputMatrix) -> Transcript:
         for p, view in views.items():
             for out in spec.next_message(p, t, view, inboxes[p], board):
                 _validate_outgoing(spec, p, t, out)
-                round_records.append(MessageRecord(
+                round_records.append(_record(
                     t, p, out.recipient, out.payload, out.protocol, out.tag))
         round_records.sort(key=_round_order)
         records.extend(round_records)

@@ -11,6 +11,7 @@ digests of three uncompiled built-ins, one per model, pin the runner.
 
 import dataclasses
 import hashlib
+import random
 
 import pytest
 
@@ -186,9 +187,30 @@ def test_warm_view_table_replays_every_cold_transcript():
     cold = [run_protocol(dataclasses.replace(spec), x) for x in inputs]
     for x in inputs:
         run_protocol(spec, x)
-    assert len(spec._memo["views"]) == 2 ** spec.k
+    table, pool = spec._memo["views"]
+    # one entry per row; each party sees the k - 1 inputs off its forehead
+    assert (len(table), len(pool)) == (2 ** spec.k, spec.k * 2 ** (spec.k - 1))
     for x, want in zip(inputs, cold):
         assert check_replay_determinism(spec, x) == want
+
+
+@pytest.mark.parametrize("build", [_chained, _ragged],
+                         ids=["t3-chained-equality", "t3-ragged-lengths"])
+def test_t3_runs_in_any_order_replay_every_cold_transcript(build):
+    """On every input of a t3 pipeline, runs that share the spec's views
+    and its demux index, in a shuffled order, give the transcripts of
+    runs on a fresh spec, and replay them."""
+    fresh, spec = build(), build()
+    inputs = [InputMatrix.from_index(idx, spec.k, spec.n, spec.ell)
+              for idx in range(domain_size(spec.k, spec.n, spec.ell))]
+    cold = {x.index: run_protocol(dataclasses.replace(fresh), x)
+            for x in inputs}
+    random.Random(0).shuffle(inputs)
+    for x in inputs:
+        assert run_protocol(spec, x) == cold[x.index]
+    assert "views" in spec._memo
+    for x in inputs:
+        assert check_replay_determinism(spec, x) == cold[x.index]
 
 
 def _wrong_row_plan(u, v):

@@ -1,6 +1,8 @@
 """Compiler tests: protocol permutation, pattern robustness, the board
 combiner, the symmetric pipeline, the myopic combiner, and bounds."""
 
+import dataclasses
+
 import pytest
 
 from nofmux import (
@@ -93,6 +95,38 @@ def test_forwarding_pipeline_exact_cost_and_outputs():
     assert report.correct, report.counterexample
     assert report.measured_worst_case == bound.total
     assert report.measured_worst_payload == bound.payload
+
+
+def _forwarding_with_extra(outgoing):
+    """The n=1 forwarding pipeline whose first instance protocol also has
+    its output party send ``outgoing`` in round 1."""
+    plan, _ = forwarding_pipeline_plan(n=1)
+    base = plan.protocols[0]
+
+    def next_message(p, t, views, inbox, board):
+        outs = list(base.next_message(p, t, views, inbox, board))
+        if t == 1 and p == base.output_party:
+            outs.append(outgoing)
+        return outs
+
+    leaky = dataclasses.replace(base, next_message=next_message)
+    return multiplex_combine(dataclasses.replace(
+        plan, protocols=(leaky,) + plan.protocols[1:]))
+
+
+@pytest.mark.parametrize("outgoing, error", [
+    (Outgoing(1, "1"), "sender equals recipient"),
+    (Outgoing(2, "2"), "payload '2' is not a bit string"),
+    (Outgoing(1, "2"), "payload '2' is not a bit string"),
+], ids=["self-addressed", "non-bit", "non-bit-and-self-addressed"])
+def test_combiner_rejects_malformed_instance_message(outgoing, error):
+    """A compiled run checks what an instance protocol sends: the payload's
+    bits when it is written, and the sender against the recipient when it
+    is read back into the recipient's inbox."""
+    spec = _forwarding_with_extra(outgoing)
+    with pytest.raises(DomainError, match=error):
+        run_protocol(spec, InputMatrix.from_index(0, spec.k, spec.n,
+                                                  spec.ell))
 
 
 def test_combiner_requires_identity_first_permutation():

@@ -1,5 +1,7 @@
 """Core model tests: bits, inputs, graphs, views, execution, cost."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -156,16 +158,57 @@ def test_projection_is_kept_and_a_hidden_one_raises_every_time():
         v._project(1, ((1, 1),))
 
 
+def _ring(k, n):
+    """A silent point-to-point protocol on which each party sees only its
+    successor's input."""
+    graph = RestrictionGraph(k, frozenset((p, p % k + 1)
+                                          for p in range(1, k + 1)))
+    return ProtocolSpec(
+        name="ring", model=Model.NOF_GRAPH, k=k, n=n, ell=1, rounds=1,
+        next_message=lambda p, t, views, inbox, board: [], output_party=1,
+        graph=graph, output_rule=lambda views, inbox, board: {1: 0})
+
+
 def test_view_table_is_kept_only_for_small_specs():
-    """A spec keeps its views while k * 2^(k*n) is at most 512; a larger
-    spec builds them on every run."""
-    small, large = eq_two_bit_protocol(3, 2), eq_two_bit_protocol(3, 3)
-    assert 3 << 6 <= 512 < 3 << 9
-    for spec in (small, large):
+    """A spec keeps its views while both its rows, 2^(k*n), and its
+    distinct views, the sum over parties p of 2^(n * |seen_p|), are at
+    most 512; any other spec builds them on every run."""
+    cases = [  # (spec, rows, distinct views)
+        (eq_two_bit_protocol(3, 3), 512, 3 * 2 ** 6),
+        (eq_two_bit_protocol(7, 1), 128, 7 * 2 ** 6),
+        (eq_two_bit_protocol(9, 1), 512, 9 * 2 ** 8),
+        (_ring(5, 2), 1024, 5 * 2 ** 2),
+    ]
+    for spec, rows, views in cases:
         for idx in range(domain_size(spec.k, spec.n, spec.ell)):
             run_protocol(spec, InputMatrix.from_index(idx, spec.k, spec.n))
-    assert len(small._memo["views"]) == domain_size(3, 2, 1)
-    assert "views" not in large._memo
+        if max(rows, views) > 512:
+            assert "views" not in spec._memo, spec.name
+            continue
+        table, pool = spec._memo["views"]
+        assert (len(table), len(pool)) == (rows, views), spec.name
+        assert {id(v) for row_views in table.values()
+                for v in row_views} == set(map(id, pool.values()))
+
+
+def test_views_are_interned_by_what_their_party_sees():
+    """Rows that show a party the same inputs give it the same View
+    object; a row that differs in an input it sees gives it another."""
+    spec = eq_two_bit_protocol(3, 2)
+    seen = {}
+
+    def next_message(p, t, views, inbox, board):
+        seen.setdefault(p, []).append(views[1])
+        return spec.next_message(p, t, views, inbox, board)
+
+    recording = dataclasses.replace(spec, next_message=next_message)
+    for inputs in (("00", "01", "10"), ("11", "01", "10")):
+        run_protocol(recording, InputMatrix.single(*inputs))
+    # P_1 does not see x_1; P_2 and P_3 do
+    assert seen[1][0] is seen[1][-1]
+    for p in (2, 3):
+        assert seen[p][0] is not seen[p][-1]
+        assert seen[p][0] != seen[p][-1]
 
 
 def test_compute_view_follows_graph():
@@ -333,6 +376,15 @@ def test_runner_rejects_non_bit_payload():
     spec = _one_round(Model.NOF_BOARD, next_message)
     with pytest.raises(DomainError, match="'01x' is not a bit string"):
         run_protocol(spec, InputMatrix.single("00", "01", "10"))
+
+
+def test_message_record_checks_its_fields():
+    with pytest.raises(DomainError, match="'1x' is not a bit string"):
+        MessageRecord(1, 1, BOARD, "1x")
+    with pytest.raises(DomainError, match="sender equals recipient"):
+        MessageRecord(1, 2, 2, "1")
+    with pytest.raises(DomainError, match="'x' is not a bit string"):
+        MessageRecord(1, 2, 2, "x")
 
 
 def test_input_matrix_rejects_non_bit_entry():
