@@ -121,15 +121,96 @@ def sweep(spec: ProtocolSpec, indices: Iterable[int] | None = None,
           ) -> Iterator[tuple[InputMatrix, Transcript]]:
     """Run the protocol on each input index, the whole domain (guarded by
     ``budget``) by default, and yield ``(x, transcript)``; every run is
-    checked against the declared pattern, if any."""
+    checked against the declared pattern, if any.  Nothing is kept."""
     if indices is None:
         indices = _domain(spec, budget)
+    yield from _sweep(spec, indices, None)
+
+
+def _sweep(spec: ProtocolSpec, indices: Iterable[int], runs: _Runs | None
+           ) -> Iterator[tuple[InputMatrix, Transcript]]:
+    """The loop of ``sweep``.  With a table of runs, an index already in it
+    is not run again, and its transcript comes without outputs; a fresh run
+    is stored.  Every index, stored or not, is checked against the declared
+    pattern."""
     for idx in indices:
         x = InputMatrix.from_index(idx, spec.k, spec.n, spec.ell)
-        t = run_protocol(spec, x)
+        records = None if runs is None else runs.get(idx)
+        if records is None:
+            t = run_protocol(spec, x)
+            if runs is not None:
+                runs.keep(idx, t.records)
+        else:
+            t = Transcript(records, {}, sum(len(r.payload) for r in records))
         if spec.pattern is not None:
             assert_pattern(spec, x, t)
         yield x, t
+
+
+# a larger domain is spot-checked, not swept: a table would cost it more
+_TABLE_CAP = 1 << 16
+
+
+class _Runs:
+    """One protocol's runs by input index, shared by ``measure_cost``, the
+    position sweep and ``check_view_legality``, so that an input runs once
+    across them, whichever asks first.
+
+    ``get(idx)`` is the records of input ``idx``'s transcript, interned by
+    value, or None until it runs.  Outputs are not kept: equal records can
+    carry different outputs, and no reader of the table needs them.  A run
+    that raises is never stored.  For legality, ``parties`` maps an interned
+    records tuple, by id, to its per-party rows of per-round (heard, sent)
+    ids, split on first use, and ``flips`` holds each party's flip masks.
+    """
+
+    def __init__(self, spec: ProtocolSpec, store: list | dict):
+        self.store = store
+        self.get = store.get if isinstance(store, dict) else store.__getitem__
+        self.distinct: dict[tuple, tuple] = {}
+        self.parties: dict[int, tuple] = {}
+        self.ids: dict[tuple, int] = {}
+        self.shared: dict[tuple, tuple] = {}
+        self.flips = _flip_masks(spec)
+
+    def keep(self, idx: int, records: tuple) -> tuple:
+        """Store input ``idx``'s records, interned; return the stored ones."""
+        records = self.store[idx] = self.distinct.setdefault(records, records)
+        return records
+
+    def split(self, spec: ProtocolSpec, idx: int,
+              x: InputMatrix | None = None) -> tuple:
+        """Input ``idx``'s per-party (heard, sent) id rows, running it
+        first if it is not stored.  Each party's row is interned, so two
+        inputs that look the same to party p give p the same row."""
+        records = self.get(idx)
+        if records is None:
+            y = x or InputMatrix.from_index(idx, spec.k, spec.n, spec.ell)
+            records = self.keep(idx, run_protocol(spec, y).records)
+        rows = self.parties.get(id(records))
+        if rows is None:
+            on_board = spec.model is Model.NOF_BOARD
+            ids, shared = self.ids, self.shared
+            parties = []
+            for p in range(1, spec.k + 1):
+                heard, sent = _rounds_of(records, p, spec.rounds, on_board)
+                pairs = tuple((ids.setdefault(tuple(heard[t - 1]), len(ids)),
+                               ids.setdefault(tuple(sent[t]), len(ids)))
+                              for t in range(1, spec.rounds + 1))
+                parties.append(shared.setdefault(pairs, pairs))
+            rows = self.parties[id(records)] = tuple(parties)
+        return rows
+
+
+def _runs(spec: ProtocolSpec) -> _Runs | None:
+    """The spec's table of runs, made on first use; a domain of more than
+    ``_TABLE_CAP`` inputs keeps none."""
+    runs = spec._memo.get("runs")
+    if runs is None:
+        size = domain_size(spec.k, spec.n, spec.ell)
+        if size <= _TABLE_CAP:
+            runs = spec._memo["runs"] = _Runs(spec, [None] * size)
+    return runs
 
 
 @dataclass
@@ -187,9 +268,10 @@ def measure_cost(spec: ProtocolSpec, budget: int = DEFAULT_BUDGET) -> CostReport
     """Worst-case bit cost and per-channel matrix over the full input domain.
 
     If the protocol declares a pattern, every input is checked against it.
+    Runs come from, and go to, the spec's table of runs.
     """
     part, per_round = _Partial(), {}
-    for _, t in sweep(spec, budget=budget):
+    for _, t in _sweep(spec, _domain(spec, budget), _runs(spec)):
         part.tally(t)
         rounds: dict[int, int] = {}
         for r in t.records:
@@ -256,14 +338,15 @@ def _position_sweep(spec: ProtocolSpec, budget: int) -> _Positions:
     t's speaker, position t, may carry bits, so round t's concatenated
     payloads are position t's message.  The result is kept on the spec, so
     the prefix checks of ``myopic_combine`` and the t3 bound share one sweep
-    per chain; the budget guard runs on every call."""
+    per chain, and its runs go to the spec's table of runs, which
+    ``measure_cost`` reads; the budget guard runs on every call."""
     domain = _domain(spec, budget)
     memo = spec._memo
     if "positions" not in memo:
         messages = [set() for _ in range(spec.k - 1)]
         rows: dict[tuple[int, ...], tuple[int, ...]] = {}
         costs = []
-        for _, t in sweep(spec, domain):
+        for _, t in _sweep(spec, domain, _runs(spec)):
             words = [""] * (spec.k - 1)
             for r in t.records:
                 if r.payload:
@@ -303,13 +386,13 @@ def check_prefix_free(spec: ProtocolSpec, pos: int,
     return is_prefix_free(messages_at_position(spec, pos, budget))
 
 
-def _rounds_of(tr: Transcript, p: int, rounds: int, on_board: bool
+def _rounds_of(records: tuple, p: int, rounds: int, on_board: bool
                ) -> tuple[list[list], list[list]]:
     """Per round (entry t, 1-based), the records party p perceives arriving
     in it -- all of them on the board -- and the records p sends in it."""
     heard = [[] for _ in range(rounds + 1)]
     sent = [[] for _ in range(rounds + 1)]
-    for r in tr.records:
+    for r in records:
         if on_board or r.recipient == p:
             heard[r.round].append(r)
         if r.sender == p:
@@ -317,8 +400,22 @@ def _rounds_of(tr: Transcript, p: int, rounds: int, on_board: bool
     return heard, sent
 
 
-# a larger domain is spot-checked, not swept: a table would cost it more
-_TABLE_CAP = 1 << 16
+def _flip_masks(spec: ProtocolSpec) -> tuple[tuple[tuple, ...], ...]:
+    """Entry p - 1: ``(mask, i, j, bit)`` for each input bit party p cannot
+    see, in the order legality checks them; a flipped input's index is the
+    input's index XOR ``mask``."""
+    k, n, ell = spec.k, spec.n, spec.ell
+    width = k * n * ell
+    flips = []
+    for p, seen in enumerate(spec._seen, start=1):
+        invisible = [(i, j) for i in range(1, ell + 1)
+                     for j in range(1, k + 1)
+                     if j != p and j not in seen] + \
+                    [(i, p) for i in range(1, ell + 1)]
+        flips.append(tuple(
+            (1 << (width - 1 - ((i - 1) * k + j - 1) * n - bit), i, j, bit)
+            for (i, j) in invisible for bit in range(n)))
+    return tuple(flips)
 
 
 def check_view_legality(spec: ProtocolSpec, x: InputMatrix) -> None:
@@ -330,63 +427,35 @@ def check_view_legality(spec: ProtocolSpec, x: InputMatrix) -> None:
     stopping at the first round where p's inbox or the board (p's perceived
     state) diverges -- after that point changes are legitimate reactions.
 
-    Runs come from a per-index table on the spec.  An index runs the first
-    time it is needed, as base or as flip (its index XOR one bit), and its
-    transcript is split once per party into per-round (heard, sent) record
-    lists interned to ids, so each input of a full domain runs once.  A run
-    that raises is never stored.  A domain of more than ``_TABLE_CAP``
-    inputs keeps no table: each call runs its base and each distinct flip
-    once.
+    Runs come from the spec's table of runs, which ``measure_cost`` and the
+    position sweep share.  An index runs the first time any of them needs
+    it, here as base or as flip (its index XOR one bit), so each input of a
+    full domain runs once.  Its records are split once per party into
+    per-round (heard, sent) record lists interned to ids.  A domain of more
+    than ``_TABLE_CAP`` inputs keeps no table: each call runs its base and
+    each distinct flip once.
     """
     if (x.k, x.n, x.ell) != (spec.k, spec.n, spec.ell):
         run_protocol(spec, x)  # raises the runner's shape DomainError
-    k, n, width = spec.k, spec.n, spec.k * spec.n * x.ell
-    if 1 << width <= _TABLE_CAP:
-        if "legality" not in spec._memo:
-            spec._memo["legality"] = ([None] * (1 << width), {}, {})
-        table, ids, shared = spec._memo["legality"]
-        lookup = table.__getitem__
-    else:
-        table, ids, shared = {}, {}, {}
-        lookup = table.get
-    on_board = spec.model is Model.NOF_BOARD
-
-    def run(idx: int, y: InputMatrix | None = None) -> tuple:
-        """Run input ``idx`` and store its per-party (heard, sent) ids."""
-        tr = run_protocol(spec, y or InputMatrix.from_index(idx, k, n, x.ell))
-        parties = []
-        for p in range(1, k + 1):
-            heard, sent = _rounds_of(tr, p, spec.rounds, on_board)
-            pairs = tuple((ids.setdefault(tuple(heard[t - 1]), len(ids)),
-                           ids.setdefault(tuple(sent[t]), len(ids)))
-                          for t in range(1, spec.rounds + 1))
-            parties.append(shared.setdefault(pairs, pairs))
-        row = table[idx] = shared.setdefault(tuple(parties), tuple(parties))
-        return row
-
+    runs = _runs(spec) or _Runs(spec, {})
+    get, parties, split = runs.get, runs.parties, runs.split
     idx = x.index
-    base = lookup(idx) or run(idx, x)
-    for p in range(1, k + 1):
-        seen = spec._seen[p - 1]
-        invisible = [(i, j) for i in range(1, x.ell + 1)
-                     for j in range(1, k + 1)
-                     if j != p and j not in seen] + \
-                    [(i, p) for i in range(1, x.ell + 1)]
+    base = split(spec, idx, x)
+    for p, flips in enumerate(runs.flips, start=1):
         mine = base[p - 1]
-        for (i, j) in invisible:
-            for bit in range(n):
-                pos = ((i - 1) * k + j - 1) * n + bit
-                flip = idx ^ (1 << (width - 1 - pos))
-                theirs = (lookup(flip) or run(flip))[p - 1]
-                if theirs is mine:
-                    continue
-                for t, ((heard, sent), (heard2, sent2)) in enumerate(
-                        zip(mine, theirs), start=1):
-                    # p's perceived state before round t: rounds < t - 1
-                    # already matched, so only round t - 1 is compared
-                    if heard != heard2:
-                        break
-                    if sent != sent2:
-                        raise DomainError(
-                            f"{spec.name}: party {p} reacted to invisible "
-                            f"bit ({i},{j},{bit}) in round {t}")
+        for mask, i, j, bit in flips:
+            flip = idx ^ mask
+            # an input not yet run is None, whose id is never a key
+            theirs = (parties.get(id(get(flip))) or split(spec, flip))[p - 1]
+            if theirs is mine:
+                continue
+            for t, ((heard, sent), (heard2, sent2)) in enumerate(
+                    zip(mine, theirs), start=1):
+                # p's perceived state before round t: rounds < t - 1
+                # already matched, so only round t - 1 is compared
+                if heard != heard2:
+                    break
+                if sent != sent2:
+                    raise DomainError(
+                        f"{spec.name}: party {p} reacted to invisible "
+                        f"bit ({i},{j},{bit}) in round {t}")

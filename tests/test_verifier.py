@@ -11,9 +11,11 @@ from nofmux import (
     BOARD, DEFAULT_BUDGET, BudgetError, CommPattern, DomainError, InputMatrix,
     LegalityError, Model, NofmuxError, ObliviousnessError, Outgoing,
     Permutation, ProtocolSpec, RestrictionGraph, TruthTable, bits_to_int,
-    board_outputs, check_prefix_free, check_view_legality, domain_size,
-    eq_two_bit_protocol, exhaustive_verify, is_prefix_free, lemma1_protocol,
-    measure_cost, messages_at_position, myopic_eq_chain, oracle_evaluate,
+    board_outputs, check_prefix_free, check_view_legality, compile_symmetric,
+    domain_size, enumerate_inputs, eq_two_bit_protocol,
+    example3_filtering_triplets, example3_graph, example3_protocol,
+    exhaustive_verify, is_prefix_free, lemma1_protocol, measure_cost,
+    messages_at_position, myopic_eq_chain, oracle_evaluate,
     random_truth_table, run_protocol, sampled_verify,
 )
 from nofmux.verifier import _rounds_of
@@ -210,6 +212,10 @@ def test_every_sweep_guards_its_budget_and_checks_the_pattern(name):
     # the chain sends one bit at positions 2-4, not two at position 2
     wrong = dataclasses.replace(chain,
                                 pattern=CommPattern({(2, 2, 3): 2}, 4))
+    # legality stores runs without checking the pattern; stored or not,
+    # every run is checked
+    for x in enumerate_inputs(5, 1, 1):
+        check_view_legality(wrong, x)
     with pytest.raises(ObliviousnessError):
         SWEEPS[name](wrong)
 
@@ -289,7 +295,8 @@ def _reference_view_legality(spec, x):
                      for j in range(1, spec.k + 1)
                      if j != p and j not in seen] + \
                     [(i, p) for i in range(1, x.ell + 1)]
-        heard_base, sent_base = _rounds_of(base, p, spec.rounds, on_board)
+        heard_base, sent_base = _rounds_of(base.records, p, spec.rounds,
+                                           on_board)
         for (i, j) in invisible:
             for bit in range(spec.n):
                 other = runs.get((i, j, bit))
@@ -302,7 +309,8 @@ def _reference_view_legality(spec, x):
                     flipped = InputMatrix(x.ell, x.k, x.n,
                                           tuple(tuple(r) for r in rows))
                     other = runs[i, j, bit] = run_protocol(spec, flipped)
-                heard, sent = _rounds_of(other, p, spec.rounds, on_board)
+                heard, sent = _rounds_of(other.records, p, spec.rounds,
+                                         on_board)
                 for t in range(1, spec.rounds + 1):
                     if heard_base[t - 1] != heard[t - 1]:
                         break
@@ -339,21 +347,41 @@ def _forehead_forwarding_lemma1():
                                next_message=next_message)
 
 
+def _table_specs():
+    return [*_small_builtins(), _leaky(), _forehead_forwarding_lemma1()]
+
+
+_REFERENCE: dict[str, list] = {}
+
+
+def _reference_outcomes(spec):
+    """Per input index, the outcome of the per-call reference.  The specs
+    of ``_table_specs`` are built the same way on every call, so their
+    outcomes are computed once per session, keyed by name."""
+    if spec.name not in _REFERENCE:
+        _REFERENCE[spec.name] = [
+            _outcome(_reference_view_legality, spec,
+                     InputMatrix.from_index(idx, spec.k, spec.n, spec.ell))
+            for idx in range(domain_size(spec.k, spec.n, spec.ell))]
+    return _REFERENCE[spec.name]
+
+
+def _assert_table_agrees(spec, note=None):
+    for idx, want in enumerate(_reference_outcomes(spec)):
+        x = InputMatrix.from_index(idx, spec.k, spec.n, spec.ell)
+        assert _outcome(check_view_legality, spec, x) == want, (
+            spec.name, idx, note)
+
+
 def test_legality_table_agrees_with_per_call_reruns():
     """Every input of each spec gets the same outcome from the table as
     from the per-call reference: a pass, or the same first error."""
-    specs = [*_small_builtins(), _leaky(), _forehead_forwarding_lemma1()]
-    for spec in specs:
-        outcomes = set()
-        for idx in range(domain_size(spec.k, spec.n, spec.ell)):
-            x = InputMatrix.from_index(idx, spec.k, spec.n, spec.ell)
-            want = _outcome(_reference_view_legality, spec, x)
-            assert _outcome(check_view_legality, spec, x) == want, (
-                spec.name, idx)
-            outcomes.add(want)
+    for spec in _table_specs():
+        _assert_table_agrees(spec)
         if spec.name == "forwarding":
-            assert outcomes == {("DomainError", "forwarding: party 3 reacted "
-                                 "to invisible bit (1,3,0) in round 1")}
+            assert set(_reference_outcomes(spec)) == {
+                ("DomainError", "forwarding: party 3 reacted to invisible "
+                 "bit (1,3,0) in round 1")}
 
 
 def test_legality_table_is_kept_only_for_small_domains():
@@ -362,8 +390,9 @@ def test_legality_table_is_kept_only_for_small_domains():
     for spec in (small, large):
         check_view_legality(spec, InputMatrix.from_index(0, spec.k, spec.n,
                                                          spec.ell))
-    assert "legality" in small._memo
-    assert "legality" not in large._memo
+    # the table of runs that legality shares with measure_cost
+    assert "runs" in small._memo
+    assert "runs" not in large._memo
 
 
 def test_hidden_read_on_a_flipped_input_raises_on_every_call():
@@ -382,3 +411,138 @@ def test_hidden_read_on_a_flipped_input_raises_on_every_call():
     for _ in range(3):
         with pytest.raises(LegalityError):
             check_view_legality(spec, InputMatrix.single("0", "1"))
+
+
+# ---------------------------------------------------------------------------
+# runs shared between the cost sweep, the prefix sweep and legality
+# ---------------------------------------------------------------------------
+
+def _breaks_pattern_when(word):
+    """Party 1 writes x_2, which it sees, on the board, plus one more bit
+    when x_2 is ``word``; the declared pattern is two bits."""
+    def next_message(p, t, views, inbox, board):
+        if p == 1:
+            seen = views[1][2]
+            return [Outgoing(BOARD, seen + ("0" if seen == word else ""))]
+        return []
+
+    return ProtocolSpec(
+        name="breaks", model=Model.NOF_BOARD, k=2, n=2, ell=1, rounds=1,
+        next_message=next_message, output_party=2,
+        output_rule=lambda views, inbox, board: {1: 0},
+        pattern=CommPattern({(1, 1, BOARD): 2}, 1))
+
+
+def test_pattern_break_is_caught_after_legality_ran_every_index():
+    """Legality stores runs without checking the pattern; measure_cost
+    still checks every index, stored or not."""
+    spec = _breaks_pattern_when("11")
+    for idx in range(domain_size(2, 2, 1)):
+        check_view_legality(spec, InputMatrix.from_index(idx, 2, 2, 1))
+    for _ in range(2):
+        with pytest.raises(ObliviousnessError, match="input index 3:"):
+            measure_cost(spec)
+
+
+@pytest.mark.parametrize("order", ["cost-first", "legality-first"])
+def test_legality_table_agrees_with_per_call_reruns_next_to_measure_cost(
+        order):
+    """The comparison above, with measure_cost sharing the spec's runs:
+    run before every legality check, or between two rounds of them."""
+    for spec in _table_specs():
+        if order == "cost-first":
+            _measure_pattern_break(spec)
+            _assert_table_agrees(spec, order)
+        else:
+            _assert_table_agrees(spec, "before measure_cost")
+            _measure_pattern_break(spec)
+            _assert_table_agrees(spec, "after measure_cost")
+
+
+def _measure_pattern_break(spec):
+    """measure_cost on ``spec``; only the seeded forehead leak, which
+    writes a bit lemma1 does not declare, breaks its pattern."""
+    if spec.name == "forwarding":
+        with pytest.raises(ObliviousnessError, match="input index 0:"):
+            measure_cost(spec)
+    else:
+        measure_cost(spec)
+
+
+def test_outputs_never_come_from_the_run_table():
+    """example3's output rule reads views, so equal records can carry
+    different outputs; a fault switched on after measure_cost is still
+    caught by exhaustive_verify."""
+    faulty = {"on": False}
+    spec = example3_protocol(5, 2)
+
+    def output_rule(views, inbox, board):
+        out = spec.output_rule(views, inbox, board)
+        return {1: out[1] ^ 1} if faulty["on"] else out
+
+    flipped = dataclasses.replace(spec, output_rule=output_rule)
+    f = TruthTable.eq(5, 2)
+    assert measure_cost(flipped).worst_case_bits == 1
+    assert exhaustive_verify(flipped, f).correct
+    faulty["on"] = True
+    report = exhaustive_verify(flipped, f)
+    assert not report.correct
+    assert report.counterexample.input_index == 0
+
+
+@pytest.fixture
+def verifier_runs(monkeypatch):
+    """The input indices of every protocol run the verifier makes."""
+    import nofmux.verifier
+    indices = []
+
+    def counted(spec, x):
+        indices.append(x.index)
+        return run_protocol(spec, x)
+
+    monkeypatch.setattr(nofmux.verifier, "run_protocol", counted)
+    return indices
+
+
+@pytest.mark.parametrize("cost_first", [True, False])
+def test_cost_sweep_and_legality_run_each_input_once(verifier_runs,
+                                                     cost_first):
+    spec = lemma1_protocol(random_truth_table(4, 1, seed=9))
+    size = domain_size(4, 1, 3)
+    assert size == 2 ** 12
+
+    def legality():
+        for idx in range(size):
+            check_view_legality(spec, InputMatrix.from_index(idx, 4, 1, 3))
+
+    passes = (lambda: measure_cost(spec), legality)
+    for check in passes if cost_first else reversed(passes):
+        check()
+    assert len(verifier_runs) == size
+    assert sorted(verifier_runs) == list(range(size))
+
+
+@pytest.mark.parametrize("positions_first", [True, False])
+def test_position_sweep_and_cost_sweep_run_each_input_once(verifier_runs,
+                                                           positions_first):
+    chain = myopic_eq_chain(5, 1, Permutation((4, 2, 5, 1, 3)))
+    passes = (lambda: messages_at_position(chain, 2),
+              lambda: measure_cost(chain))
+    for check in passes if positions_first else reversed(passes):
+        check()
+    assert sorted(verifier_runs) == list(range(2 ** 5))
+
+
+def test_verification_sweeps_keep_no_run_table(verifier_runs):
+    """exhaustive_verify and sampled_verify run every input they are given
+    and keep nothing on the spec."""
+    f = TruthTable.eq(5, 1)
+    spec, _, _ = compile_symmetric(
+        example3_protocol(5, 1), f, example3_graph(5),
+        example3_filtering_triplets(5), ell=2)
+    del verifier_runs[:]  # the base protocol's check inside the compile
+    for _ in range(2):
+        assert exhaustive_verify(spec, f).correct
+    sampled_verify(spec, f, samples=8, seed=0)
+    assert len(verifier_runs) == 2 * domain_size(5, 1, 2) + 8
+    assert "runs" not in spec._memo
