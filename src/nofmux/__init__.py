@@ -8,7 +8,7 @@ from .combinatorics import (
     MultiplexTriplet, Permutation, build_matrix_a, certificate_from_json,
     certificate_to_json, filtering_to_multiplexing, is_binding_triplet,
     is_filtering_set, is_good_triplet, is_multiplexing_set,
-    is_repetitive_set, load_certificate, map_images, permute_graph,
+    is_repetitive_set, map_images, permute_graph,
 )
 from .compiler import (
     Bound, CompilationPlan, check_pattern_robust, compile_symmetric,

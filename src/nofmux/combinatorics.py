@@ -9,7 +9,6 @@ to a multiplexing set.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -444,8 +443,3 @@ def certificate_from_json(data: Mapping) -> tuple[str, int, int, tuple,
                       for img in data["permutations"])
     _check_shape(kind, k, triplets, perms)
     return kind, k, ell, triplets, perms
-
-
-def load_certificate(path: str):
-    with open(path) as fh:
-        return certificate_from_json(json.load(fh))

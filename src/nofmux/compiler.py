@@ -12,6 +12,7 @@ SoundnessError; it cannot happen when the certificate validates.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -24,7 +25,7 @@ from .core import (
     DomainError, LegalityError, Model, ObliviousnessError,
     Outgoing, ProtocolSpec, RestrictionGraph, RobustnessError,
     SoundnessError, TruthTable, View, _record, board_outputs,
-    check_symmetry, domain_size, xor_bits,
+    check_symmetry, xor_bits,
     run_protocol,  # not called here: bench/tracing.py patches it as a span
 )
 from .verifier import _position_sweep, check_prefix_free, exhaustive_verify
@@ -75,8 +76,8 @@ def permute_protocol(spec: ProtocolSpec, pi: Permutation) -> ProtocolSpec:
     graph = permute_graph(spec.graph, pi)
     to_orig = (0,) + pi.inverse().image
     # original party -> (q, pi(q)) for each q it sees
-    sees = {orig: tuple((q, pi(q)) for q in spec.graph.neighbors(orig))
-            for orig in range(1, spec.k + 1)}
+    sees = {orig: tuple((q, pi(q)) for q in seen)
+            for orig, seen in enumerate(spec._seen, start=1)}
 
     def original_state(orig, views, inbox):
         view = views[1]._project(orig, sees[orig])
@@ -120,12 +121,6 @@ def check_pattern_robust(base: ProtocolSpec, other: ProtocolSpec,
 # the XOR-multiplexing engine shared by every theorem path
 # ---------------------------------------------------------------------------
 
-def _tag(kind: str, value: int) -> str:
-    """A framing tag: ``to:<recipient>``, ``mux:<group>`` or
-    ``out:<instance>``."""
-    return f"{kind}:{value}"
-
-
 class _Group(NamedTuple):
     """Same-sender messages written as one XOR block."""
     sender: int
@@ -152,19 +147,17 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
     """
     k, n, ell = protos[0].k, protos[0].n, len(protos)
     # (j, j) for each j whose input party p sees in instance u
-    pairs = {j: (j, j) for j in range(1, k + 1)}
-    reads = {}
-    for u, q in enumerate(protos, start=1):
-        graph = q.visibility()
-        for p in range(1, k + 1):
-            reads[u, p] = tuple(pairs[j] for j in graph.neighbors(p))
+    reads = {(u, p): tuple((j, j) for j in seen)
+             for u, q in enumerate(protos, start=1)
+             for p, seen in enumerate(q._seen, start=1)}
     # (instance, party) pairs whose base graph hides nothing more from the
     # party than the board does: its own view passes through unchanged
     whole = {key for key, pairs_read in reads.items()
              if len(pairs_read) == k - 1}
-    to_tags = {p: _tag("to", p) for p in range(1, k + 1)}
-    mux_tags = [_tag("mux", gi) for gi in range(len(groups))]
-    out_tags = {u: _tag("out", u) for u in range(1, ell + 1)}
+    # framing tags: to:<recipient>, mux:<group> and out:<instance>
+    to_tags = {p: f"to:{p}" for p in range(1, k + 1)}
+    mux_tags = [f"mux:{gi}" for gi in range(len(groups))]
+    out_tags = {u: f"out:{u}" for u in range(1, ell + 1)}
     consumed = {(u, g.sender, rcpt): gi for gi, g in enumerate(groups)
                 for (u, rcpt) in g.components}
     # (protocol, tag) of a board record -> the (instance, party, group)
@@ -309,10 +302,12 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
                     p, t, {1: sub_view(p, u, views)}, history, None):
                 gi = consumed.get((u, p, o.recipient))
                 if gi is None:
-                    results.append(Outgoing(
-                        BOARD, o.payload, protocol=u,
-                        tag=to_tags.get(o.recipient)
-                        or _tag("to", o.recipient)))
+                    tag = to_tags.get(o.recipient)
+                    if tag is None:  # no inbox reads it
+                        raise LegalityError(
+                            f"recipient {o.recipient} out of range")
+                    results.append(Outgoing(BOARD, o.payload, protocol=u,
+                                            tag=tag))
                 else:
                     staged.setdefault(gi, {})[(u, o.recipient)] = o.payload
         for gi, parts in sorted(staged.items()):
@@ -510,15 +505,13 @@ def _theorem3_bound(plan: CompilationPlan, budget: int) -> Bound:
     (total - max) savings.  The cost depends on an input only through each
     chain's per-position cost row, so it is evaluated over the product of
     each chain's distinct rows."""
-    k, n, ell = plan.protocols[0].k, plan.protocols[0].n, plan.ell
-    single = domain_size(k, n, 1)
-    if single ** ell > budget:
-        raise BudgetError(
-            f"the t3 bound enumerates {single ** ell} inputs, budget is "
-            f"{budget}")
     # rows[u-1] holds chain u's distinct per-position costs, from the sweep
-    # the prefix checks share
+    # the prefix checks share, which guards its own budget
     rows = [set(_position_sweep(q, budget).costs) for q in plan.protocols]
+    combos = math.prod(map(len, rows))
+    if combos > budget:
+        raise BudgetError(f"the t3 bound enumerates {combos} combinations "
+                          f"of chain cost rows, budget is {budget}")
     worst = 0
     for combo in itertools.product(*rows):
         total = sum(map(sum, combo))
@@ -526,4 +519,4 @@ def _theorem3_bound(plan: CompilationPlan, budget: int) -> Bound:
             lens = [combo[u - 1][t.pos - 1] for u in t.U]
             total -= sum(lens) - max(lens)
         worst = max(worst, total)
-    return Bound(worst + ell, worst)
+    return Bound(worst + plan.ell, worst)

@@ -401,10 +401,6 @@ class CommPattern:
              for (t, i, j), v in self.lengths.items()},
             self.rounds)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CommPattern) and other.rounds == self.rounds
-                and other.lengths == self.lengths)
-
 
 class Model(Enum):
     NOF_BOARD = "nof-board"
@@ -449,6 +445,9 @@ class ProtocolSpec:
             raise DomainError("output party out of range")
         if self.model is Model.NOF_GRAPH and self.graph is None:
             raise DomainError("NOF_GRAPH protocol needs a restriction graph")
+        if self.graph is not None and self.graph.k != self.k:
+            raise DomainError(f"restriction graph is on {self.graph.k} "
+                              f"parties, the protocol on {self.k}")
         if self.model is Model.MYOPIC:
             if self.chain is None or sorted(self.chain) != list(range(1, self.k + 1)):
                 raise DomainError("MYOPIC protocol needs a chain permutation")
@@ -464,20 +463,10 @@ class ProtocolSpec:
     @cached_property
     def _seen(self) -> tuple[tuple[int, ...], ...]:
         """Entry p - 1: the parties whose inputs party p sees, in the order
-        ``compute_view`` reads them.  Built on the first run; a graph that
-        does not fit the protocol raises the DomainError ``compute_view``
-        would."""
+        ``compute_view`` reads them.  This is the one who-sees-whom table
+        that the runner, the compilers and legality fuzzing read."""
         graph = self.visibility()
-        seen = []
-        for p in range(1, self.k + 1):
-            if p > graph.k:
-                raise DomainError(f"party {p} out of range")
-            parties = tuple(graph.neighbors(p))
-            for j in parties:
-                if j > self.k:
-                    raise DomainError(f"index (1,{j}) out of range")
-            seen.append(parties)
-        return tuple(seen)
+        return tuple(tuple(graph.neighbors(p)) for p in range(1, self.k + 1))
 
     @cached_property
     def _memo(self) -> dict:

@@ -30,10 +30,9 @@ def oracle_evaluate(f: TruthTable, x: InputMatrix) -> tuple[int, ...]:
     return tuple(results)
 
 
-def random_truth_table(k: int, n: int, seed: int,
-                       max_bits: int = 24) -> TruthTable:
+def random_truth_table(k: int, n: int, seed: int) -> TruthTable:
     """Deterministic pseudorandom table; same seed, same table."""
-    if k * n > max_bits:
+    if k * n > 24:
         raise BudgetError(f"2^{k * n} entries exceed the materialization guard")
     rng = random.Random(seed)
     return TruthTable(k, n, tuple(rng.randrange(2)
@@ -116,23 +115,15 @@ def _domain(spec: ProtocolSpec, budget: int) -> range:
     return range(size)
 
 
-def sweep(spec: ProtocolSpec, indices: Iterable[int] | None = None,
-          budget: int = DEFAULT_BUDGET
+def sweep(spec: ProtocolSpec, indices: Iterable[int],
+          runs: _Runs | None = None
           ) -> Iterator[tuple[InputMatrix, Transcript]]:
-    """Run the protocol on each input index, the whole domain (guarded by
-    ``budget``) by default, and yield ``(x, transcript)``; every run is
-    checked against the declared pattern, if any.  Nothing is kept."""
-    if indices is None:
-        indices = _domain(spec, budget)
-    yield from _sweep(spec, indices, None)
-
-
-def _sweep(spec: ProtocolSpec, indices: Iterable[int], runs: _Runs | None
-           ) -> Iterator[tuple[InputMatrix, Transcript]]:
-    """The loop of ``sweep``.  With a table of runs, an index already in it
-    is not run again, and its transcript comes without outputs; a fresh run
-    is stored.  Every index, stored or not, is checked against the declared
-    pattern."""
+    """Run the protocol on each input index and yield ``(x, transcript)``;
+    every run is checked against the declared pattern, if any.  Without a
+    table of runs nothing is kept.  With one, an index already in it is not
+    run again, and its transcript comes without outputs; a fresh run is
+    stored.  Callers guard the size of ``indices``: every full domain comes
+    from ``_domain``."""
     for idx in indices:
         x = InputMatrix.from_index(idx, spec.k, spec.n, spec.ell)
         records = None if runs is None else runs.get(idx)
@@ -271,7 +262,7 @@ def measure_cost(spec: ProtocolSpec, budget: int = DEFAULT_BUDGET) -> CostReport
     Runs come from, and go to, the spec's table of runs.
     """
     part, per_round = _Partial(), {}
-    for _, t in _sweep(spec, _domain(spec, budget), _runs(spec)):
+    for _, t in sweep(spec, _domain(spec, budget), _runs(spec)):
         part.tally(t)
         rounds: dict[int, int] = {}
         for r in t.records:
@@ -346,7 +337,7 @@ def _position_sweep(spec: ProtocolSpec, budget: int) -> _Positions:
         messages = [set() for _ in range(spec.k - 1)]
         rows: dict[tuple[int, ...], tuple[int, ...]] = {}
         costs = []
-        for _, t in _sweep(spec, domain, _runs(spec)):
+        for _, t in sweep(spec, domain, _runs(spec)):
             words = [""] * (spec.k - 1)
             for r in t.records:
                 if r.payload:

@@ -154,6 +154,26 @@ def test_verify_myopic_plan(tmp_path, capsys):
     assert data["correct"] and data["measured_worst_case"] == 7
 
 
+def test_verify_forwarding_plan(tmp_path, capsys):
+    """The t1 forwarding pipeline, as a plan file: n + ell = 4 bits against
+    ell * (n + 1) = 6 for separate runs."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "path": "t1", "k": 4, "n": 1, "ell": 3,
+        "function": {"kind": "random", "seed": 5},
+        "protocols": [{"family": "example1-variant", "i": i}
+                      for i in (1, 2, 3)],
+        "permutations": [[1, 2, 3, 4], [2, 3, 1, 4], [3, 1, 2, 4]],
+        "graph": {"builtin": "example1"},
+        "certificate": {"kind": "multiplexing", "k": 4, "ell": 3,
+                        "triplets": [[4, 1, [2, 3]]]},
+    }))
+    assert main(["verify", str(plan)]) == 0
+    out = capsys.readouterr().out
+    assert "correct=True, worst_case=4 bits" in out
+    assert "bound=4, naive=6" in out
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["validate", "/nonexistent/cert.json"]) == 2
 
@@ -324,3 +344,33 @@ def test_import_nofmux_loads_neither_cli_nor_acceptance():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout.strip() == "[]"
+
+
+def test_verify_reports_counterexample(tmp_path, capsys):
+    """A protocol that disagrees with the plan's function exits 1 and names
+    the first failing input, on stdout and in the report file."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({**_T3_PLAN,
+                                "function": {"kind": "constant", "bit": 0}}))
+    out = tmp_path / "report.json"
+    assert main(["verify", str(plan), "--out", str(out)]) == 1
+    assert ("counterexample: input 0 instance 1: got 1, expected 0"
+            in capsys.readouterr().out)
+    data = json.loads(out.read_text())
+    assert not data["correct"]
+    assert data["counterexample"] == {
+        "input_index": 0, "instance": 1, "protocol_output": 1,
+        "expected": 0, "rows": [["0"] * 5, ["0"] * 5]}
+
+
+def test_compile_t3_plan_within_a_small_budget(tmp_path, capsys):
+    """The t3 bound enumerates one combination of cost rows here, so a
+    budget that covers the chains' 32-input sweeps covers the bound."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(_T3_PLAN))
+    out = tmp_path / "compiled.json"
+    assert main(["compile", str(plan), "--budget", "500",
+                 "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert (data["predicted_bound_total"],
+            data["predicted_bound_payload"]) == (7, 5)

@@ -6,14 +6,14 @@ import dataclasses
 import pytest
 
 from nofmux import (
-    BindingTriplet, CertificateError, CommPattern, CompilationPlan,
-    DEFAULT_BUDGET, DomainError, InputMatrix, Model, MultiplexTriplet,
-    ObliviousnessError, Outgoing, Permutation, ProtocolSpec, RobustnessError,
-    TruthTable, check_pattern_robust, compile_symmetric, enumerate_inputs,
-    eq_multi_protocol, example3_filtering_triplets, example3_graph,
-    example3_protocol, exhaustive_verify, measure_cost, multiplex_combine,
-    myopic_combine, myopic_eq_chain, permute_protocol, predicted_bound,
-    run_protocol,
+    BindingTriplet, BudgetError, CertificateError, CommPattern,
+    CompilationPlan, DEFAULT_BUDGET, DomainError, InputMatrix, LegalityError,
+    Model, MultiplexTriplet, ObliviousnessError, Outgoing, Permutation,
+    ProtocolSpec, RobustnessError, TruthTable, check_pattern_robust,
+    compile_symmetric, enumerate_inputs, eq_multi_protocol,
+    example3_filtering_triplets, example3_graph, example3_protocol,
+    exhaustive_verify, measure_cost, multiplex_combine, myopic_combine,
+    myopic_eq_chain, permute_protocol, predicted_bound, run_protocol,
 )
 from nofmux.acceptance import chained_equality_plan, forwarding_pipeline_plan
 from nofmux.verifier import _position_sweep
@@ -114,17 +114,20 @@ def _forwarding_with_extra(outgoing):
         plan, protocols=(leaky,) + plan.protocols[1:]))
 
 
-@pytest.mark.parametrize("outgoing, error", [
-    (Outgoing(1, "1"), "sender equals recipient"),
-    (Outgoing(2, "2"), "payload '2' is not a bit string"),
-    (Outgoing(1, "2"), "payload '2' is not a bit string"),
-], ids=["self-addressed", "non-bit", "non-bit-and-self-addressed"])
-def test_combiner_rejects_malformed_instance_message(outgoing, error):
-    """A compiled run checks what an instance protocol sends: the payload's
-    bits when it is written, and the sender against the recipient when it
-    is read back into the recipient's inbox."""
+@pytest.mark.parametrize("outgoing, exc, error", [
+    (Outgoing(1, "1"), DomainError, "sender equals recipient"),
+    (Outgoing(2, "2"), DomainError, "payload '2' is not a bit string"),
+    (Outgoing(1, "2"), DomainError, "payload '2' is not a bit string"),
+    (Outgoing(9, "1"), LegalityError, "recipient 9 out of range"),
+], ids=["self-addressed", "non-bit", "non-bit-and-self-addressed",
+        "recipient-out-of-range"])
+def test_combiner_rejects_malformed_instance_message(outgoing, exc, error):
+    """A compiled run checks what an instance protocol sends: the
+    recipient's range and the payload's bits when it is written, and the
+    sender against the recipient when it is read back into the recipient's
+    inbox."""
     spec = _forwarding_with_extra(outgoing)
-    with pytest.raises(DomainError, match=error):
+    with pytest.raises(exc, match=error):
         run_protocol(spec, InputMatrix.from_index(0, spec.k, spec.n,
                                                   spec.ell))
 
@@ -372,6 +375,19 @@ def test_t3_bound_of_input_dependent_lengths():
     assert report.correct, report.counterexample
     assert (report.measured_worst_case, report.measured_worst_payload) \
         == tuple(bound)
+
+
+def test_t3_bound_guards_the_cost_rows_it_enumerates():
+    """The bound enumerates combinations of the chains' distinct cost rows,
+    4^3 = 64 for three coded chains, and its budget guards that count,
+    while each chain's sweep of 32 inputs fits."""
+    perms = (Permutation((1, 2, 3, 4, 5)), Permutation((4, 2, 5, 1, 3)),
+             Permutation((2, 1, 3, 4, 5)))
+    protos = tuple(_coded_chain(pi) for pi in perms)
+    plan = CompilationPlan("t3", 3, perms, protos, ())
+    assert predicted_bound(plan, 64) == (21, 18)
+    with pytest.raises(BudgetError, match="enumerates 64 combinations"):
+        predicted_bound(plan, 63)
 
 
 def test_myopic_combiner_declares_pattern_of_oblivious_chains():

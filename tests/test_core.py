@@ -360,13 +360,13 @@ def test_runner_graph_rule_reading_non_neighbor_is_illegal():
 
 
 def test_runner_rejects_graph_of_other_party_count():
-    """A restriction graph over fewer parties than the protocol raises the
-    DomainError that computing the missing party's view would."""
+    """A restriction graph over fewer parties than the protocol is rejected
+    when the spec is built, before anything runs."""
     graph = RestrictionGraph(2, frozenset({(1, 2), (2, 1)}))
-    spec = _one_round(Model.NOF_GRAPH, lambda p, t, views, inbox, board: [],
-                      graph)
-    with pytest.raises(DomainError, match="party 3 out of range"):
-        run_protocol(spec, InputMatrix.single("00", "01", "10"))
+    with pytest.raises(DomainError,
+                       match="graph is on 2 parties, the protocol on 3"):
+        _one_round(Model.NOF_GRAPH, lambda p, t, views, inbox, board: [],
+                   graph)
 
 
 def test_runner_rejects_non_bit_payload():

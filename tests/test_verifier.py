@@ -233,6 +233,12 @@ def test_bit_flip_fuzzing_passes_honest_protocols():
         check_view_legality(chain, x)
 
 
+def test_bit_flip_fuzzing_rejects_input_of_other_shape():
+    with pytest.raises(DomainError, match="does not match protocol"):
+        check_view_legality(eq_two_bit_protocol(3, 1),
+                            InputMatrix.from_index(0, 4, 1, 1))
+
+
 def test_bit_flip_fuzzing_flags_extra_view_dependence():
     """A rule that reacts to anything beyond its legal view -- here, hidden
     mutable state distinguishing the fuzzer's replays -- is flagged."""
