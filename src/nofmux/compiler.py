@@ -19,13 +19,14 @@ from typing import NamedTuple, Sequence
 from .combinatorics import (
     BindingTriplet, FilteringTriplet, MatrixA, Permutation, build_matrix_a,
     filtering_to_multiplexing, is_multiplexing_set, is_repetitive_set,
+    permute_graph,
 )
 from .core import (
     BOARD, BudgetError, CertificateError, CommPattern, DEFAULT_BUDGET,
     DomainError, LegalityError, Model, ObliviousnessError,
     Outgoing, ProtocolSpec, RestrictionGraph, RobustnessError,
-    SoundnessError, TruthTable, View, _record, board_outputs,
-    check_symmetry, xor_bits,
+    SoundnessError, TruthTable, View, _record, _validate_outgoing,
+    board_outputs, check_symmetry, xor_bits,
     run_protocol,  # not called here: bench/tracing.py patches it as a span
 )
 from .verifier import _position_sweep, check_prefix_free, exhaustive_verify
@@ -70,10 +71,7 @@ def permute_protocol(spec: ProtocolSpec, pi: Permutation) -> ProtocolSpec:
     if spec.model is not Model.NOF_GRAPH or spec.ell != 1:
         raise DomainError("only single-instance point-to-point protocols "
                           "can be permuted")
-    if pi.k != spec.k:
-        raise DomainError("permutation arity mismatch")
-    from .combinatorics import permute_graph
-    graph = permute_graph(spec.graph, pi)
+    graph = permute_graph(spec.graph, pi)  # rejects pi of another arity
     to_orig = (0,) + pi.inverse().image
     # original party -> (q, pi(q)) for each q it sees
     sees = {orig: tuple((q, pi(q)) for q in seen)
@@ -139,6 +137,8 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
     With exact stripping (t1/t2) all components must fill the block; with
     ``prefix_decode`` (t3/c2) the recipient keeps the unique message, over
     the 2^n values of its own input, that prefixes the zero-padded rest.
+    Every instance message passes the runner's legality check under its
+    own protocol's model before it is boarded or staged.
 
     The demux schedule is fixed here, once: which board records feed each
     (instance, party) inbox, which instances each party runs in each round,
@@ -274,9 +274,6 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
             else:
                 record = _record(r.round, groups[gi].sender, party,
                                  demux(party, u, r, gi, fed, views))
-            # board records hold bits, and so does a stripped block
-            if record.sender == party:
-                raise DomainError("sender equals recipient")
             msgs.append(record)
         return tuple(msgs)
 
@@ -297,17 +294,15 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
         staged: dict[int, dict[tuple[int, int], str]] = {}
         results = []
         for u in instances:
+            q = protos[u - 1]
             history = inbox(p, u, t, fed, views, strip) if fed else ()
-            for o in protos[u - 1].next_message(
-                    p, t, {1: sub_view(p, u, views)}, history, None):
+            for o in q.next_message(p, t, {1: sub_view(p, u, views)},
+                                    history, None):
+                _validate_outgoing(q, p, t, o)
                 gi = consumed.get((u, p, o.recipient))
                 if gi is None:
-                    tag = to_tags.get(o.recipient)
-                    if tag is None:  # no inbox reads it
-                        raise LegalityError(
-                            f"recipient {o.recipient} out of range")
                     results.append(Outgoing(BOARD, o.payload, protocol=u,
-                                            tag=tag))
+                                            tag=to_tags[o.recipient]))
                 else:
                     staged.setdefault(gi, {})[(u, o.recipient)] = o.payload
         for gi, parts in sorted(staged.items()):

@@ -520,8 +520,11 @@ def _validate_outgoing(spec: ProtocolSpec, sender: int, rnd: int,
     if out.recipient == sender:
         raise LegalityError("party cannot send to itself")
     if spec.model is Model.MYOPIC and out.payload:
-        pos = spec.chain.index(sender) + 1 if sender in spec.chain else 0
-        if pos != rnd or rnd >= spec.k or spec.chain[rnd] != out.recipient:
+        if rnd > spec.k:
+            raise LegalityError(f"myopic round {rnd}: no bits after round "
+                                f"{spec.k - 1}")
+        if (rnd == spec.k or spec.chain[rnd - 1] != sender
+                or spec.chain[rnd] != out.recipient):
             raise LegalityError(
                 f"myopic round {rnd}: only {spec.chain[rnd - 1]}->"
                 f"{spec.chain[rnd] if rnd < spec.k else '?'} may carry bits")

@@ -8,8 +8,9 @@ import pytest
 from nofmux import (
     BindingTriplet, BudgetError, CertificateError, CommPattern,
     CompilationPlan, DEFAULT_BUDGET, DomainError, InputMatrix, LegalityError,
-    Model, MultiplexTriplet, ObliviousnessError, Outgoing, Permutation,
-    ProtocolSpec, RobustnessError, TruthTable, check_pattern_robust,
+    Model, MultiplexTriplet, NofmuxError, ObliviousnessError, Outgoing,
+    Permutation, ProtocolSpec, RobustnessError, TruthTable,
+    check_pattern_robust,
     compile_symmetric, enumerate_inputs, eq_multi_protocol,
     example3_filtering_triplets, example3_graph, example3_protocol,
     exhaustive_verify, measure_cost, multiplex_combine, myopic_combine,
@@ -63,6 +64,12 @@ def test_permute_requires_point_to_point():
         permute_protocol(eq_multi_protocol(5, 1), Permutation.identity(5))
 
 
+def test_permute_rejects_permutation_of_other_arity():
+    """``permute_graph`` rejects it, as the protocol's graph has k parties."""
+    with pytest.raises(DomainError, match="permutation arity"):
+        permute_protocol(example3_protocol(5, 1), Permutation.identity(4))
+
+
 def test_check_pattern_robust():
     spec = example3_protocol(5, 1)
     pi = Permutation((1, 4, 3, 2, 5))
@@ -97,39 +104,47 @@ def test_forwarding_pipeline_exact_cost_and_outputs():
     assert report.measured_worst_payload == bound.payload
 
 
-def _forwarding_with_extra(outgoing):
-    """The n=1 forwarding pipeline whose first instance protocol also has
-    its output party send ``outgoing`` in round 1."""
+def _forwarding_with_extra(sender, outgoing):
+    """The n=1 forwarding pipeline, compiled, and its first instance
+    protocol Q^1, whose party ``sender`` sends ``outgoing`` in round 1 in
+    place of any message of its own to the same recipient."""
     plan, _ = forwarding_pipeline_plan(n=1)
     base = plan.protocols[0]
 
     def next_message(p, t, views, inbox, board):
         outs = list(base.next_message(p, t, views, inbox, board))
-        if t == 1 and p == base.output_party:
+        if t == 1 and p == sender:
+            outs = [o for o in outs if o.recipient != outgoing.recipient]
             outs.append(outgoing)
         return outs
 
     leaky = dataclasses.replace(base, next_message=next_message)
-    return multiplex_combine(dataclasses.replace(
+    return leaky, multiplex_combine(dataclasses.replace(
         plan, protocols=(leaky,) + plan.protocols[1:]))
 
 
-@pytest.mark.parametrize("outgoing, exc, error", [
-    (Outgoing(1, "1"), DomainError, "sender equals recipient"),
-    (Outgoing(2, "2"), DomainError, "payload '2' is not a bit string"),
-    (Outgoing(1, "2"), DomainError, "payload '2' is not a bit string"),
-    (Outgoing(9, "1"), LegalityError, "recipient 9 out of range"),
+@pytest.mark.parametrize("sender, outgoing, exc, error", [
+    (1, Outgoing(1, "1"), LegalityError, "party cannot send to itself"),
+    (1, Outgoing(2, "2"), DomainError, "payload '2' is not a bit string"),
+    (1, Outgoing(1, "2"), DomainError, "payload '2' is not a bit string"),
+    (1, Outgoing(9, "1"), LegalityError, "recipient 9 out of range"),
+    # no inbox of the compiled run reads P_4's instance-1 messages
+    (4, Outgoing(4, "1"), LegalityError, "party cannot send to itself"),
+    # P_4's message to P_1 lies in the XOR group (4, 1, {2, 3})
+    (4, Outgoing(1, "2"), DomainError, "payload '2' is not a bit string"),
 ], ids=["self-addressed", "non-bit", "non-bit-and-self-addressed",
-        "recipient-out-of-range"])
-def test_combiner_rejects_malformed_instance_message(outgoing, exc, error):
-    """A compiled run checks what an instance protocol sends: the
-    recipient's range and the payload's bits when it is written, and the
-    sender against the recipient when it is read back into the recipient's
-    inbox."""
-    spec = _forwarding_with_extra(outgoing)
-    with pytest.raises(exc, match=error):
-        run_protocol(spec, InputMatrix.from_index(0, spec.k, spec.n,
-                                                  spec.ell))
+        "recipient-out-of-range", "unread-self-send", "non-bit-in-block"])
+def test_combiner_rejects_malformed_instance_message(sender, outgoing, exc,
+                                                     error):
+    """A compiled run checks every instance message when it is sent, with
+    the runner's own check under the instance protocol's model: the same
+    exception, with the same message, as an uncompiled run of Q^1."""
+    q, spec = _forwarding_with_extra(sender, outgoing)
+    for run, ell in ((spec, spec.ell), (q, 1)):
+        with pytest.raises(NofmuxError) as err:
+            run_protocol(run, InputMatrix.from_index(0, 4, 1, ell))
+        assert type(err.value) is exc
+        assert str(err.value) == error
 
 
 def test_combiner_requires_identity_first_permutation():

@@ -331,6 +331,26 @@ def test_myopic_model_rejects_off_chain_messages():
         run_protocol(spec, InputMatrix.single("0", "0", "0"))
 
 
+@pytest.mark.parametrize("rnd, error", [
+    (2, "myopic round 2: only 2->3 may carry bits"),
+    (4, "myopic round 4: only 4->? may carry bits"),
+    (5, "myopic round 5: no bits after round 3"),
+])
+def test_myopic_model_names_the_round_of_an_illegal_bit(rnd, error):
+    """A bit from P_4 to P_1 is illegal in every round, also after round k
+    (at ``rnd`` = 5 the chain has no position to look up)."""
+    def next_message(p, t, views, inbox, board):
+        return [Outgoing(1, "1")] if (p, t) == (4, rnd) else []
+
+    spec = ProtocolSpec(
+        name="late-bit", model=Model.MYOPIC, k=4, n=1, ell=1, rounds=5,
+        next_message=next_message, output_party=4, chain=(1, 2, 3, 4),
+        output_rule=lambda views, inbox, board: {1: 0})
+    with pytest.raises(LegalityError) as err:
+        run_protocol(spec, InputMatrix.from_index(0, 4, 1))
+    assert str(err.value) == error
+
+
 def _one_round(model, next_message, graph=None):
     return ProtocolSpec(
         name="probe", model=model, k=3, n=2, ell=1, rounds=1,
