@@ -10,8 +10,8 @@ from nofmux import (
     CompilationPlan, DEFAULT_BUDGET, DomainError, InputMatrix, LegalityError,
     Model, MultiplexTriplet, NofmuxError, ObliviousnessError, Outgoing,
     Permutation, ProtocolSpec, RobustnessError, TruthTable,
-    check_pattern_robust,
-    compile_symmetric, enumerate_inputs, eq_multi_protocol,
+    check_pattern_robust, compile_symmetric, enumerate_inputs,
+    eq_multi_protocol,
     example3_filtering_triplets, example3_graph, example3_protocol,
     exhaustive_verify, measure_cost, multiplex_combine, myopic_combine,
     myopic_eq_chain, permute_protocol, predicted_bound, run_protocol,
