@@ -25,11 +25,12 @@ from .core import (
     BOARD, BudgetError, CertificateError, CommPattern, DEFAULT_BUDGET,
     DomainError, LegalityError, Model, ObliviousnessError,
     Outgoing, ProtocolSpec, RestrictionGraph, RobustnessError,
-    SoundnessError, TruthTable, View, _record, _validate_outgoing,
+    SoundnessError, TruthTable, _record, _validate_outgoing,
     board_outputs, check_symmetry, xor_bits,
     run_protocol,  # not called here: bench/tracing.py patches it as a span
 )
-from .verifier import _position_sweep, check_prefix_free, exhaustive_verify
+from .verifier import (_position_sweep, check_prefix_free, exhaustive_verify,
+                       messages_at_position)
 
 
 class Bound(NamedTuple):
@@ -120,25 +121,26 @@ def check_pattern_robust(base: ProtocolSpec, other: ProtocolSpec,
 # ---------------------------------------------------------------------------
 
 class _Group(NamedTuple):
-    """Same-sender messages written as one XOR block."""
+    """Same-sender messages written as one XOR block; ``codes`` holds each
+    instance's public prefix-free code (t3/c2), or None for exact blocks."""
     sender: int
     components: tuple[tuple[int, int], ...]  # (instance, recipient)
+    codes: dict[int, frozenset[str]] | None = None
 
 
 def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
-                groups: Sequence[_Group], rounds: int,
-                prefix_decode: bool) -> ProtocolSpec:
+                groups: Sequence[_Group], rounds: int) -> ProtocolSpec:
     """Run the single-instance protocols round-synchronously on the board.
 
     A message that a group lists is XORed, zero-padded to the longest in
     its round, into the group's block; every other message is written
     plainly.  A recipient of a block recomputes the other components from
-    the sender's view and plainly-boarded history and strips them off.
-    With exact stripping (t1/t2) all components must fill the block; with
-    ``prefix_decode`` (t3/c2) the recipient keeps the unique message, over
-    the 2^n values of its own input, that prefixes the zero-padded rest.
-    Every instance message passes the runner's legality check under its
-    own protocol's model before it is boarded or staged.
+    the sender's view and plainly-boarded history and strips them off.  A
+    group without codes (t1/t2) needs all components to fill the block; a
+    group with codes (t3/c2) leaves the recipient the unique prefix of the
+    zero-padded rest that lies in its instance's code.  Every instance
+    message passes the runner's legality check under its own protocol's
+    model before it is boarded or staged.
 
     The demux schedule is fixed here, once: which board records feed each
     (instance, party) inbox, which instances each party runs in each round,
@@ -178,7 +180,6 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
               for t in range(1, rounds + 1) for p in range(1, k + 1)}
     answers = {p: tuple(u for u, q in enumerate(protos, start=1)
                         if q.output_party == p) for p in range(1, k + 1)}
-    words = ["".join(b) for b in itertools.product("01", repeat=n)]
     last = ((), {})  # the last board indexed, and its index
 
     def index(board):
@@ -202,50 +203,43 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
         last = (board, fed)
         return fed
 
-    def sub_view(party, u, views, guess=None):
-        """``party``'s view of instance u, read from the working party's
-        views; ``guess`` = (j, word) stands in for the hidden x_j."""
+    def sub_view(party, u, views):
+        """``party``'s view of instance u, from the working party's views."""
         view = views[u]
         try:
-            if guess is None:
-                if party == view.owner and (u, party) in whole:
-                    return view
-                return view._project(party, reads[u, party])
-            j, word = guess
-            return View._of(party, {q: word if q == j else view[q]
-                                    for q, _ in reads[u, party]})
+            if party == view.owner and (u, party) in whole:
+                return view
+            return view._project(party, reads[u, party])
         except LegalityError as exc:
             raise SoundnessError(
                 f"reconstruction needs an input hidden from the "
                 f"demultiplexing party: {exc}") from exc
 
-    def recompute(u, sender, recipient, rnd, fed, views, guess=None):
+    def recompute(u, sender, recipient, rnd, fed, views):
         """Instance u's round-``rnd`` message sender -> recipient, as the
         demultiplexing party recomputes it."""
         history = inbox(sender, u, rnd, fed, views)
         for o in protos[u - 1].next_message(
-                sender, rnd, {1: sub_view(sender, u, views, guess)},
-                history, None):
+                sender, rnd, {1: sub_view(sender, u, views)}, history, None):
             if o.recipient == recipient:
                 return o.payload
         return ""
 
     def strip(party, u, block, gi, fed, views):
         """``party``'s own instance-u message out of a block."""
-        sender, width = groups[gi].sender, len(block.payload)
+        g, width = groups[gi], len(block.payload)
         rest = block.payload
         for (u2, rcpt2) in others[gi, (u, party)]:
-            other = recompute(u2, sender, rcpt2, block.round, fed, views)
-            if len(other) > width or (not prefix_decode
+            other = recompute(u2, g.sender, rcpt2, block.round, fed, views)
+            if len(other) > width or (g.codes is None
                                       and len(other) != width):
                 raise SoundnessError("combined messages have unequal "
                                      "lengths")
             rest = xor_bits(rest, other.ljust(width, "0"))
-        if not prefix_decode:
+        if g.codes is None:
             return rest
-        candidates = {recompute(u, sender, party, block.round, fed, views,
-                                guess=(party, w)) for w in words}
-        matches = [c for c in candidates if rest.startswith(c)]
+        code = g.codes[u]
+        matches = [rest[:i] for i in range(width + 1) if rest[:i] in code]
         if len(matches) != 1:
             raise SoundnessError(
                 f"prefix decoding found {len(matches)} candidates")
@@ -308,8 +302,8 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
         for gi, parts in sorted(staged.items()):
             payloads = [parts.get(c, "") for c in groups[gi].components]
             width = max(len(w) for w in payloads)
-            if not prefix_decode and any(w and len(w) != width
-                                         for w in payloads):
+            if groups[gi].codes is None and any(w and len(w) != width
+                                                for w in payloads):
                 raise SoundnessError("combined messages have unequal lengths")
             acc = "0" * width
             for w in payloads:
@@ -378,7 +372,7 @@ def multiplex_combine(plan: CompilationPlan) -> ProtocolSpec:
                                               for r in sorted(t.R)))
               for t in cert]
     return _mux_engine(f"mux-{plan.path}[{protos[0].name} x{plan.ell}]",
-                       protos, groups, rounds, prefix_decode=False)
+                       protos, groups, rounds)
 
 
 def compile_symmetric(spec: ProtocolSpec, f: TruthTable,
@@ -419,9 +413,9 @@ def myopic_combine(protocols: Sequence[ProtocolSpec],
     """Combine one-way chains on the board, XOR-writing the certified
     position messages zero-padded to the longest of their group.
 
-    Chains need not be oblivious; recipients self-delimit their decoded
-    message by prefix-freeness.  The compiled protocol declares a pattern
-    when every chain does.
+    Chains need not be oblivious: a recipient self-delimits its message by
+    its chain's prefix-free code at the block's position.  The compiled
+    protocol declares a pattern when every chain does.
     """
     protos = tuple(protocols)
     perms = tuple(perms)
@@ -448,10 +442,12 @@ def myopic_combine(protocols: Sequence[ProtocolSpec],
                 raise DomainError(
                     f"protocol {u} is not prefix-free at position {t.pos}")
     groups = [_Group(t.s, tuple((u, perms[u - 1](t.pos + 1))
-                                for u in sorted(t.U)))
+                                for u in sorted(t.U)),
+                     {u: messages_at_position(protos[u - 1], t.pos, budget)
+                      for u in t.U})
               for t in cert]
     return _mux_engine(f"mux-t3[{protos[0].name} x{ell}]", protos, groups,
-                       k - 1, prefix_decode=True)
+                       k - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from nofmux import (
     BindingTriplet, BudgetError, CertificateError, CommPattern,
     CompilationPlan, DEFAULT_BUDGET, DomainError, InputMatrix, LegalityError,
     Model, MultiplexTriplet, NofmuxError, ObliviousnessError, Outgoing,
-    Permutation, ProtocolSpec, RobustnessError, TruthTable,
+    Permutation, ProtocolSpec, RobustnessError, SoundnessError, TruthTable,
     check_pattern_robust, compile_symmetric, enumerate_inputs,
     eq_multi_protocol,
     example3_filtering_triplets, example3_graph, example3_protocol,
@@ -17,7 +17,9 @@ from nofmux import (
     myopic_eq_chain, permute_protocol, predicted_bound, run_protocol,
 )
 from nofmux.acceptance import chained_equality_plan, forwarding_pipeline_plan
-from nofmux.verifier import _position_sweep
+from nofmux.verifier import _position_sweep, messages_at_position
+
+from test_compiled_transcripts import _ragged, _wide_chain, flip_block_bit
 
 
 # ---------------------------------------------------------------------------
@@ -321,35 +323,19 @@ def test_myopic_combiner_rejects_prefix_violation():
 def test_myopic_ragged_lengths_are_padded_and_decoded():
     """Multiplex chains whose combined messages have unequal lengths; the
     recipients must zero-pad, XOR, and self-delimit by prefix-freeness."""
-    perms = (Permutation((1, 2, 3, 4, 5)), Permutation((4, 2, 5, 1, 3)))
-
-    def wide_chain(pi):
-        """Like the equality chain but position 2 sends two bits: its
-        equality bit twice (a prefix-free fixed-width code)."""
-        base = myopic_eq_chain(5, 1, pi)
-
-        def next_message(p, t, views, inbox, board):
-            outs = base.next_message(p, t, views, inbox, board)
-            if t == 2 and outs:
-                return [Outgoing(outs[0].recipient, outs[0].payload * 2)]
-            if t == 3 and p == pi(3):
-                step = int(views[1][pi(2)] == views[1][pi(4)])
-                bit = int(inbox[-1].payload[:1]) & step
-                return [Outgoing(pi(4), str(bit))]
-            return outs
-
-        return ProtocolSpec(
-            name="wide", model=Model.MYOPIC, k=5, n=1, ell=1, rounds=4,
-            next_message=next_message, output_party=pi(5), chain=pi.image,
-            output_rule=base.output_rule)
-
-    protos = (wide_chain(perms[0]), myopic_eq_chain(5, 1, perms[1]))
-    cert = (BindingTriplet(2, 2, frozenset({1, 2})),)
-    compiled = myopic_combine(protos, perms, cert)
-    report = exhaustive_verify(compiled, TruthTable.eq(5, 1))
+    report = exhaustive_verify(_ragged(), TruthTable.eq(5, 1))
     assert report.correct, report.counterexample
     # block is max(2, 1) = 2 bits; chains otherwise cost 2 + 2 bits
     assert report.measured_worst_payload == 6
+
+
+def test_t3_flipped_block_bit_leaves_no_code_word():
+    """Flipping the first bit of the ragged block turns the wide chain's
+    "00" or "11" into a word none of whose prefixes lies in its code."""
+    faulty = flip_block_bit(_ragged(), [])
+    with pytest.raises(SoundnessError,
+                       match="prefix decoding found 0 candidates"):
+        exhaustive_verify(faulty, TruthTable.eq(5, 1))
 
 
 def _coded_chain(pi):
@@ -372,6 +358,39 @@ def _coded_chain(pi):
         name="coded", model=Model.MYOPIC, k=5, n=1, ell=1, rounds=4,
         next_message=next_message, output_party=pi(5), chain=pi.image,
         output_rule=output_rule)
+
+
+def _three_word_chain(pi):
+    """A coded equality chain whose position 2 sends "1" on equality and
+    otherwise "0" followed by x_pi(1): a prefix-free code of three words,
+    more than the 2^n = 2 values of its recipient's own input."""
+    coded = _coded_chain(pi)
+
+    def next_message(p, t, views, inbox, board):
+        if t == 2 and p == pi(2):
+            first = views[1][pi(1)]
+            word = "1" if first == views[1][pi(3)] else "0" + first
+            return [Outgoing(pi(3), word)]
+        return coded.next_message(p, t, views, inbox, board)
+
+    return dataclasses.replace(coded, name="three-word",
+                               next_message=next_message)
+
+
+def test_t3_decodes_a_code_larger_than_the_own_input_domain():
+    """Each block recipient reads its message by the chain's code at the
+    block's position, whatever the code's size: the plan is correct and
+    its bound is its measured worst case."""
+    perms = (Permutation((1, 2, 3, 4, 5)), Permutation((4, 2, 5, 1, 3)))
+    protos = (_three_word_chain(perms[0]), _coded_chain(perms[1]))
+    cert = (BindingTriplet(2, 2, frozenset({1, 2})),)
+    assert messages_at_position(protos[0], 2) == {"1", "00", "01"}
+    report = exhaustive_verify(myopic_combine(protos, perms, cert),
+                               TruthTable.eq(5, 1))
+    assert report.correct, report.counterexample
+    bound = predicted_bound(CompilationPlan("t3", 2, perms, protos, cert))
+    assert (report.measured_worst_case, report.measured_worst_payload) \
+        == tuple(bound)
 
 
 def test_t3_bound_of_input_dependent_lengths():
