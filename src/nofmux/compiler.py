@@ -134,8 +134,9 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
 
     A message that a group lists is XORed, zero-padded to the longest in
     its round, into the group's block; every other message is written
-    plainly.  A recipient of a block recomputes the other components from
-    the sender's view and plainly-boarded history and strips them off.  A
+    plainly, and two messages for one component of a block are rejected.
+    A recipient of a block recomputes the other components from the
+    sender's view and plainly-boarded history and strips them off.  A
     group without codes (t1/t2) needs all components to fill the block; a
     group with codes (t3/c2) leaves the recipient the unique prefix of the
     zero-padded rest that lies in its instance's code.  Every instance
@@ -173,7 +174,8 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
     others = {(gi, c): tuple(d for d in g.components if d != c)
               for gi, g in enumerate(groups) for c in g.components}
     # instances that party p runs in round t: all of them, except that a
-    # myopic chain carries bits only from its position-t party in round t
+    # myopic chain carries bits only from its position-t party in round t;
+    # no out-of-turn bit hides there, as myopic_combine sweeps every chain
     active = {(t, p): tuple(u for u, q in enumerate(protos, start=1)
                             if q.model is not Model.MYOPIC
                             or q.chain[t - 1] == p)
@@ -298,7 +300,12 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
                     results.append(Outgoing(BOARD, o.payload, protocol=u,
                                             tag=to_tags[o.recipient]))
                 else:
-                    staged.setdefault(gi, {})[(u, o.recipient)] = o.payload
+                    parts = staged.setdefault(gi, {})
+                    if (u, o.recipient) in parts:
+                        raise SoundnessError(
+                            f"instance {u} sends two messages to party "
+                            f"{o.recipient} in the block of round {t}")
+                    parts[u, o.recipient] = o.payload
         for gi, parts in sorted(staged.items()):
             payloads = [parts.get(c, "") for c in groups[gi].components]
             width = max(len(w) for w in payloads)
@@ -413,6 +420,7 @@ def myopic_combine(protocols: Sequence[ProtocolSpec],
     """Combine one-way chains on the board, XOR-writing the certified
     position messages zero-padded to the longest of their group.
 
+    Every chain is swept uncompiled, under the myopic legality check.
     Chains need not be oblivious: a recipient self-delimits its message by
     its chain's prefix-free code at the block's position.  The compiled
     protocol declares a pattern when every chain does.
@@ -436,6 +444,8 @@ def myopic_combine(protocols: Sequence[ProtocolSpec],
     verdict = is_repetitive_set(cert, perms)
     if not verdict:
         raise CertificateError(verdict.reason)
+    for q in protos:
+        _position_sweep(q, budget)
     for t in cert:
         for u in sorted(t.U):
             if not check_prefix_free(protos[u - 1], t.pos, budget):

@@ -328,9 +328,10 @@ def _position_sweep(spec: ProtocolSpec, budget: int) -> _Positions:
     messages and, per input, each position's message length.  Only round
     t's speaker, position t, may carry bits, so round t's concatenated
     payloads are position t's message.  The result is kept on the spec, so
-    the prefix checks of ``myopic_combine`` and the t3 bound share one sweep
-    per chain, and its runs go to the spec's table of runs, which
-    ``measure_cost`` reads; the budget guard runs on every call."""
+    ``myopic_combine``, which sweeps every chain for legality and reads its
+    prefix checks and block codes here, and the t3 bound share one sweep
+    per chain; its runs go to the spec's table of runs, which
+    ``measure_cost`` reads.  The budget guard runs on every call."""
     domain = _domain(spec, budget)
     memo = spec._memo
     if "positions" not in memo:

@@ -291,6 +291,70 @@ def test_myopic_combiner_single_chain_no_certificate():
     assert report.measured_worst_case == 3
 
 
+def _out_of_turn(pi):
+    """The equality chain along ``pi`` whose position-3 party also sends
+    its successor a bit in round 1, when only position 1 may speak."""
+    chain = myopic_eq_chain(pi.k, 1, pi)
+
+    def next_message(p, t, views, inbox, board):
+        outs = list(chain.next_message(p, t, views, inbox, board))
+        if t == 1 and p == pi(3):
+            outs.append(Outgoing(pi(4), "1"))
+        return outs
+
+    return dataclasses.replace(chain, next_message=next_message)
+
+
+def _out_of_turn_plan(name):
+    """(chains, perms, certificate) whose last chain is an
+    ``_out_of_turn`` chain in no triplet."""
+    if name == "beside-a-triplet":
+        plan = chained_equality_plan(n=1)
+        pi = Permutation((2, 1, 3, 4, 5))
+        return (plan.protocols + (_out_of_turn(pi),), plan.perms + (pi,),
+                plan.certificate)
+    pi = Permutation((1, 2, 3, 4))
+    if name == "one-chain":
+        return (_out_of_turn(pi),), (pi,), ()
+    other = Permutation((4, 3, 2, 1))
+    return (myopic_eq_chain(4, 1, other), _out_of_turn(pi)), (other, pi), ()
+
+
+@pytest.mark.parametrize("name",
+                         ["one-chain", "two-chains", "beside-a-triplet"])
+def test_myopic_combiner_sweeps_every_chain_for_legality(name):
+    """A chain bit sent out of turn raises the uncompiled run's
+    LegalityError at compile time, though no triplet covers that chain and
+    the compiled engine never asks an out-of-turn party to speak."""
+    protos, perms, cert = _out_of_turn_plan(name)
+    faulty = protos[-1]
+    with pytest.raises(LegalityError) as uncompiled:
+        run_protocol(faulty, InputMatrix.from_index(0, faulty.k, 1, 1))
+    with pytest.raises(LegalityError) as compiled:
+        myopic_combine(protos, perms, cert)
+    assert str(compiled.value) == str(uncompiled.value)
+
+
+def test_block_rejects_two_messages_for_one_component():
+    """A chain without a pattern that sends its block message twice
+    compiles, as its position code {"00", "11"} is prefix-free, but no run
+    may keep just one copy in the block."""
+    plan = chained_equality_plan(n=1)
+    chain = plan.protocols[0]
+
+    def next_message(p, t, views, inbox, board):
+        outs = list(chain.next_message(p, t, views, inbox, board))
+        return outs * 2 if t == 2 else outs
+
+    twice = dataclasses.replace(chain, next_message=next_message,
+                                pattern=None)
+    compiled = myopic_combine((twice,) + plan.protocols[1:], plan.perms,
+                              plan.certificate)
+    with pytest.raises(SoundnessError, match="instance 1 sends two "
+                       "messages to party 3 in the block of round 2"):
+        exhaustive_verify(compiled, TruthTable.eq(5, 1))
+
+
 def test_myopic_combiner_rejects_bad_certificate():
     plan = chained_equality_plan(n=1)
     bad = (BindingTriplet(1, 1, frozenset({1, 2})),)

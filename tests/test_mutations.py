@@ -98,6 +98,13 @@ def _non_bit_in_block(q, plan):
         for o in outs])
 
 
+def _duplicate_in_block(q, plan):
+    """The message that lies in an XOR block is sent twice."""
+    block = plan.block
+    return _edit_messages(q, lambda p, t, outs: outs + [
+        o for o in outs if (t, p, o.recipient) == block])
+
+
 def _non_successor(q, plan):
     """Position 3 of the chain sends its bit to position 5, not 4."""
     return _edit_messages(q, lambda p, t, outs: [
@@ -209,6 +216,8 @@ class _Mutation(NamedTuple):
 MUTATIONS = {
     "self-send": _Mutation(_in_instance(1, _self_send), ALL),
     "non-bit-in-block": _Mutation(_in_instance(1, _non_bit_in_block), ALL),
+    "duplicate-in-block": _Mutation(_in_instance(1, _duplicate_in_block),
+                                    ALL),
     "chain-to-non-successor": _Mutation(_in_instance(1, _non_successor), T3),
     "skip-one-strip": _Mutation(_skip_one_strip, ALL),
     "read-a-round-too-early": _Mutation(_read_too_early, T3, starves=True),
