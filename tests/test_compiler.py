@@ -19,7 +19,7 @@ from nofmux import (
 from nofmux.acceptance import chained_equality_plan, forwarding_pipeline_plan
 from nofmux.verifier import _position_sweep, messages_at_position
 
-from test_compiled_transcripts import _ragged, _wide_chain, flip_block_bit
+from test_compiled_transcripts import _ragged, flip_block_bit
 
 
 # ---------------------------------------------------------------------------
