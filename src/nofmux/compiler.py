@@ -78,26 +78,24 @@ def permute_protocol(spec: ProtocolSpec, pi: Permutation) -> ProtocolSpec:
     sees = {orig: tuple((q, pi(q)) for q in seen)
             for orig, seen in enumerate(spec._seen, start=1)}
 
-    def original_state(orig, views, inbox):
-        view = views[1]._project(orig, sees[orig])
-        if not inbox:
-            return {1: view}, ()
+    def original_inbox(orig, inbox):
         # relabelled checked records: to_orig is a bijection, so the
         # sender still differs from the recipient
-        return {1: view}, tuple(
-            _record(r.round, to_orig[r.sender], orig, r.payload, r.protocol,
-                    r.tag) for r in inbox)
+        return tuple(_record(r.round, to_orig[r.sender], orig, r.payload,
+                             r.protocol, r.tag) for r in inbox)
 
     def next_message(p, t, views, inbox, board):
         orig = to_orig[p]
-        sub_views, sub_inbox = original_state(orig, views, inbox)
-        outs = spec.next_message(orig, t, sub_views, sub_inbox, None)
+        outs = spec.next_message(
+            orig, t, {1: views[1]._project(orig, sees[orig])},
+            original_inbox(orig, inbox) if inbox else (), None)
         return [Outgoing(pi(o.recipient), o.payload, o.protocol, o.tag)
                 for o in outs] if outs else []
 
     def output_rule(views, inbox, board):
-        sub_views, sub_inbox = original_state(spec.output_party, views, inbox)
-        return spec.output_rule(sub_views, sub_inbox, None)
+        orig = spec.output_party
+        return spec.output_rule({1: views[1]._project(orig, sees[orig])},
+                                original_inbox(orig, inbox), None)
 
     return ProtocolSpec(
         name=f"{spec.name}@{pi.image}", model=Model.NOF_GRAPH, k=spec.k,
@@ -173,14 +171,16 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
     # the components recipient ``p`` recomputes to strip block gi
     others = {(gi, c): tuple(d for d in g.components if d != c)
               for gi, g in enumerate(groups) for c in g.components}
-    # instances that party p runs in round t: all of them, except that a
-    # myopic chain carries bits only from its position-t party in round t;
-    # no out-of-turn bit hides there, as myopic_combine sweeps every chain
-    active = {(t, p): tuple(u for u, q in enumerate(protos, start=1)
+    # (u, protocol u, whether (u, p) is whole) for each instance u that
+    # party p runs in round t: all, but a myopic chain only at position t;
+    # no record hides elsewhere, as myopic_combine sweeps every chain
+    active = {(t, p): tuple((u, q, (u, p) in whole)
+                            for u, q in enumerate(protos, start=1)
                             if q.model is not Model.MYOPIC
                             or q.chain[t - 1] == p)
               for t in range(1, rounds + 1) for p in range(1, k + 1)}
-    answers = {p: tuple(u for u, q in enumerate(protos, start=1)
+    answers = {p: tuple((u, q, (u, p) in whole)
+                        for u, q in enumerate(protos, start=1)
                         if q.output_party == p) for p in range(1, k + 1)}
     last = ((), {})  # the last board indexed, and its index
 
@@ -207,11 +207,8 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
 
     def sub_view(party, u, views):
         """``party``'s view of instance u, from the working party's views."""
-        view = views[u]
         try:
-            if party == view.owner and (u, party) in whole:
-                return view
-            return view._project(party, reads[u, party])
+            return views[u]._project(party, reads[u, party])
         except LegalityError as exc:
             raise SoundnessError(
                 f"reconstruction needs an input hidden from the "
@@ -276,29 +273,31 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
     def next_message(p, t, views, board_inbox, board):
         instances = answers[p] if t > rounds else active[t, p]
         if not instances:
-            return []
-        fed = index(board)
+            return ()
+        fed = index(board) if board else {}
         if t > rounds:
             outs = []
-            for u in instances:
-                bits = protos[u - 1].output_rule(
-                    {1: sub_view(p, u, views)},
+            for u, q, own in instances:
+                bits = q.output_rule(
+                    {1: views[u] if own else sub_view(p, u, views)},
                     inbox(p, u, t, fed, views, strip), None)
-                outs.append(Outgoing(BOARD, str(bits[1]), protocol=u,
-                                     tag=out_tags[u]))
+                outs.append(Outgoing(BOARD, str(bits[1]), u, out_tags[u]))
             return outs
         staged: dict[int, dict[tuple[int, int], str]] = {}
         results = []
-        for u in instances:
-            q = protos[u - 1]
+        for u, q, own in instances:
             history = inbox(p, u, t, fed, views, strip) if fed else ()
-            for o in q.next_message(p, t, {1: sub_view(p, u, views)},
-                                    history, None):
+            outs = q.next_message(
+                p, t, {1: views[u] if own else sub_view(p, u, views)},
+                history, None)
+            if not outs:
+                continue
+            for o in outs:
                 _validate_outgoing(q, p, t, o)
                 gi = consumed.get((u, p, o.recipient))
                 if gi is None:
-                    results.append(Outgoing(BOARD, o.payload, protocol=u,
-                                            tag=to_tags[o.recipient]))
+                    results.append(Outgoing(BOARD, o.payload, u,
+                                            to_tags[o.recipient]))
                 else:
                     parts = staged.setdefault(gi, {})
                     if (u, o.recipient) in parts:
@@ -316,7 +315,7 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
             for w in payloads:
                 acc = xor_bits(acc, w.ljust(width, "0"))
             if width:
-                results.append(Outgoing(BOARD, acc, tag=mux_tags[gi]))
+                results.append(Outgoing(BOARD, acc, None, mux_tags[gi]))
         return results
 
     def output_rule(views, board_inbox, board):
@@ -420,7 +419,9 @@ def myopic_combine(protocols: Sequence[ProtocolSpec],
     """Combine one-way chains on the board, XOR-writing the certified
     position messages zero-padded to the longest of their group.
 
-    Every chain is swept uncompiled, under the myopic legality check.
+    Every chain is swept uncompiled, under the myopic legality check, and
+    rejected if it writes a record, even an empty one, off its path or twice
+    at a block's position: the compiled engine could not reproduce it.
     Chains need not be oblivious: a recipient self-delimits its message by
     its chain's prefix-free code at the block's position.  The compiled
     protocol declares a pattern when every chain does.
@@ -444,8 +445,19 @@ def myopic_combine(protocols: Sequence[ProtocolSpec],
     verdict = is_repetitive_set(cert, perms)
     if not verdict:
         raise CertificateError(verdict.reason)
-    for q in protos:
-        _position_sweep(q, budget)
+    blocks = {(u, t.pos) for t in cert for u in t.U}
+    for u, q in enumerate(protos, start=1):
+        path = {(t, q.chain[t - 1], q.chain[t]) for t in range(1, k)}
+        for layout in sorted(_position_sweep(q, budget).layouts):
+            for i, (rnd, sender, recipient) in enumerate(layout):
+                if (rnd, sender, recipient) not in path:
+                    raise DomainError(
+                        f"protocol {u}: party {sender} writes to party "
+                        f"{recipient} in round {rnd}, off the chain's path")
+                if i and layout[i - 1][0] == rnd and (u, rnd) in blocks:
+                    raise DomainError(
+                        f"protocol {u}: party {sender} writes two records "
+                        f"at block position {rnd} in round {rnd}")
     for t in cert:
         for u in sorted(t.U):
             if not check_prefix_free(protos[u - 1], t.pos, budget):

@@ -18,9 +18,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from enum import Enum
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 BOARD = 0  # recipient id for shared-board writes
 
@@ -178,10 +178,16 @@ class InputMatrix:
 
     @classmethod
     def from_index(cls, idx: int, k: int, n: int, ell: int = 1) -> "InputMatrix":
-        flat = int_to_bits(idx, k * n * ell)
-        rows = tuple(
-            tuple(flat[(i * k + j) * n:(i * k + j + 1) * n] for j in range(k))
-            for i in range(ell))
+        width = k * n
+        if width > _ROW_TABLE_BITS or not 0 <= idx < 1 << width * ell:
+            flat = int_to_bits(idx, width * ell)  # raises when out of range
+            rows = tuple(
+                tuple(flat[(i * k + j) * n:(i * k + j + 1) * n]
+                      for j in range(k)) for i in range(ell))
+        else:
+            table, mask = _row_table(k, n), (1 << width) - 1
+            rows = tuple([table[idx >> width * i & mask]
+                          for i in range(ell - 1, -1, -1)])
         # the shape and the bits hold by construction: skip __post_init__
         x = object.__new__(cls)
         vars(x).update(ell=ell, k=k, n=n, rows=rows)
@@ -193,6 +199,17 @@ class InputMatrix:
         if not inputs:
             raise DomainError("need at least one input")
         return cls(1, len(inputs), len(inputs[0]), (tuple(inputs),))
+
+
+_ROW_TABLE_BITS = 12  # narrower rows are read from a table of all rows
+
+
+@cache
+def _row_table(k: int, n: int) -> tuple[tuple[str, ...], ...]:
+    """Entry v: the row of k n-bit inputs whose concatenation is v (the
+    product's order), made of 2^n shared strings."""
+    return tuple(itertools.product([int_to_bits(v, n) for v in range(1 << n)],
+                                   repeat=k))
 
 
 def domain_size(k: int, n: int, ell: int) -> int:
@@ -334,8 +351,7 @@ class View:
 Views = Mapping[int, View]  # instance -> View, keyed 1..ell
 
 
-@dataclass(frozen=True)
-class MessageRecord:
+class _RecordFields(NamedTuple):
     round: int
     sender: int
     recipient: int  # party id, or BOARD
@@ -343,25 +359,32 @@ class MessageRecord:
     protocol: int | None = None  # source protocol index in compiled runs
     tag: str | None = None       # free framing metadata, never costed
 
-    def __post_init__(self) -> None:
-        _check_bits(self.payload)
-        if self.recipient != BOARD and self.sender == self.recipient:
+
+class MessageRecord(_RecordFields):
+    """A tuple, so that records are built, hashed and compared in C.  The
+    constructor checks the payload and the endpoints; ``_replace`` does not."""
+
+    __slots__ = ()
+
+    def __new__(cls, round: int, sender: int, recipient: int, payload: str,
+                protocol: int | None = None, tag: str | None = None):
+        _check_bits(payload)
+        if recipient != BOARD and sender == recipient:
             raise DomainError("sender equals recipient")
+        return tuple.__new__(cls, (round, sender, recipient, payload,
+                                   protocol, tag))
 
 
 def _record(rnd: int, sender: int, recipient: int, payload: str,
             protocol: int | None = None,
             tag: str | None = None) -> MessageRecord:
     """A MessageRecord whose fields the caller has already checked: it
-    skips ``__post_init__``."""
-    record = object.__new__(MessageRecord)
-    vars(record).update(round=rnd, sender=sender, recipient=recipient,
-                        payload=payload, protocol=protocol, tag=tag)
-    return record
+    skips the constructor's checks."""
+    return tuple.__new__(MessageRecord,
+                         (rnd, sender, recipient, payload, protocol, tag))
 
 
-@dataclass(frozen=True)
-class Outgoing:
+class Outgoing(NamedTuple):
     """A message a rule wants to send this round."""
     recipient: int
     payload: str
@@ -406,6 +429,10 @@ class Model(Enum):
     NOF_BOARD = "nof-board"
     NOF_GRAPH = "nof-graph"
     MYOPIC = "myopic"
+
+
+# the runner's checks read these: Model.X goes through a descriptor each time
+_ON_BOARD, _MYOPIC = Model.NOF_BOARD, Model.MYOPIC
 
 
 NextMessageRule = Callable[
@@ -482,16 +509,22 @@ class Transcript:
     total_bits: int
 
     def channel_totals(self) -> dict[tuple[int, int], int]:
-        totals: dict[tuple[int, int], int] = {}
-        for r in self.records:
-            key = (r.sender, r.recipient)
-            totals[key] = totals.get(key, 0) + len(r.payload)
-        return totals
+        return self.costs()[0]
 
     def payload_bits(self) -> int:
         """Bits excluding output-distribution writes (records tagged out:*)."""
-        return sum(len(r.payload) for r in self.records
-                   if not (r.tag or "").startswith("out:"))
+        return self.costs()[1]
+
+    def costs(self) -> tuple[dict[tuple[int, int], int], int]:
+        """``channel_totals()`` and ``payload_bits()``, from one pass."""
+        totals: dict[tuple[int, int], int] = {}
+        payload = 0
+        for _, sender, recipient, word, _, tag in self.records:
+            key = (sender, recipient)
+            totals[key] = totals.get(key, 0) + len(word)
+            if not (tag and tag.startswith("out:")):
+                payload += len(word)
+        return totals, payload
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +543,9 @@ def compute_view(graph: RestrictionGraph, x: InputMatrix,
 
 def _validate_outgoing(spec: ProtocolSpec, sender: int, rnd: int,
                        out: Outgoing) -> None:
-    _check_bits(out.payload)
-    if spec.model is Model.NOF_BOARD:
+    if out.payload.strip("01"):
+        _check_bits(out.payload)  # raises the bit-string DomainError
+    if spec.model is _ON_BOARD:
         if out.recipient != BOARD:
             raise LegalityError("board protocols may only write on the board")
         return
@@ -519,7 +553,7 @@ def _validate_outgoing(spec: ProtocolSpec, sender: int, rnd: int,
         raise LegalityError(f"recipient {out.recipient} out of range")
     if out.recipient == sender:
         raise LegalityError("party cannot send to itself")
-    if spec.model is Model.MYOPIC and out.payload:
+    if spec.model is _MYOPIC and out.payload:
         if rnd > spec.k:
             raise LegalityError(f"myopic round {rnd}: no bits after round "
                                 f"{spec.k - 1}")
@@ -577,21 +611,27 @@ def run_protocol(spec: ProtocolSpec, x: InputMatrix) -> Transcript:
                 row_views.append(view)
             row_views = table[row] = tuple(row_views)
         by_row.append(row_views)
-    views = {p: {i: row_views[p - 1]
-                 for i, row_views in enumerate(by_row, start=1)}
-             for p in range(1, spec.k + 1)}
-    on_board = spec.model is Model.NOF_BOARD
+    # party -> instance -> view: the rows' views transposed
+    instances = range(1, spec.ell + 1)
+    views = {p: dict(zip(instances, by_party)) for p, by_party
+             in enumerate(zip(*by_row) if by_row else [()] * spec.k, 1)}
+    on_board = spec.model is _ON_BOARD
     inboxes: dict[int, tuple[MessageRecord, ...]] = dict.fromkeys(views, ())
     records: list[MessageRecord] = []
+    next_message, new = spec.next_message, tuple.__new__
     for t in range(1, spec.rounds + 1):
         board = tuple(records) if on_board else None
         round_records: list[MessageRecord] = []
         for p, view in views.items():
-            for out in spec.next_message(p, t, view, inboxes[p], board):
+            outs = next_message(p, t, view, inboxes[p], board)
+            if not outs:
+                continue
+            for out in outs:
                 _validate_outgoing(spec, p, t, out)
-                round_records.append(_record(
-                    t, p, out.recipient, out.payload, out.protocol, out.tag))
-        round_records.sort(key=_round_order)
+                # an Outgoing's fields are a record's after round and sender
+                round_records.append(new(MessageRecord, (t, p, *out)))
+        if len(round_records) > 1:
+            round_records.sort(key=_round_order)
         records.extend(round_records)
         if not on_board:
             for r in round_records:

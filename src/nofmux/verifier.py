@@ -217,8 +217,9 @@ class _Partial:
         """Worst-case and per-channel cost accounting of one run."""
         self.checked += 1
         self.worst = max(self.worst, t.total_bits)
-        self.worst_payload = max(self.worst_payload, t.payload_bits())
-        for key, bits in t.channel_totals().items():
+        totals, payload = t.costs()
+        self.worst_payload = max(self.worst_payload, payload)
+        for key, bits in totals.items():
             self.channels[key] = max(self.channels.get(key, 0), bits)
 
     def absorb(self, x: InputMatrix, t: Transcript,
@@ -321,24 +322,26 @@ class _Positions(NamedTuple):
     """One sweep of a myopic chain, reduced to what its callers keep."""
     messages: tuple[frozenset[str], ...]  # per position, distinct messages
     costs: tuple[tuple[int, ...], ...]    # per input index, per position bits
+    layouts: frozenset[tuple]  # distinct runs' (round, sender, recipient)s
 
 
 def _position_sweep(spec: ProtocolSpec, budget: int) -> _Positions:
     """Sweep a myopic chain once and keep, per position, its distinct
-    messages and, per input, each position's message length.  Only round
-    t's speaker, position t, may carry bits, so round t's concatenated
-    payloads are position t's message.  The result is kept on the spec, so
-    ``myopic_combine``, which sweeps every chain for legality and reads its
-    prefix checks and block codes here, and the t3 bound share one sweep
-    per chain; its runs go to the spec's table of runs, which
-    ``measure_cost`` reads.  The budget guard runs on every call."""
+    messages, per input, each position's message length, and its record
+    layouts.  Only round t's speaker, position t, may carry bits, so round
+    t's concatenated payloads are position t's message.  The result is kept
+    on the spec, so ``myopic_combine``, which sweeps every chain for
+    legality and reads its layouts, prefix checks and block codes here, and
+    the t3 bound share one sweep per chain; its runs go to the spec's table
+    of runs, which ``measure_cost`` reads.  The budget guard runs always."""
     domain = _domain(spec, budget)
     memo = spec._memo
     if "positions" not in memo:
         messages = [set() for _ in range(spec.k - 1)]
         rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-        costs = []
+        costs, layouts = [], set()
         for _, t in sweep(spec, domain, _runs(spec)):
+            layouts.add(tuple([r[:3] for r in t.records]))
             words = [""] * (spec.k - 1)
             for r in t.records:
                 if r.payload:
@@ -348,7 +351,7 @@ def _position_sweep(spec: ProtocolSpec, budget: int) -> _Positions:
             row = tuple(len(w) for w in words)
             costs.append(rows.setdefault(row, row))
         memo["positions"] = _Positions(tuple(map(frozenset, messages)),
-                                       tuple(costs))
+                                       tuple(costs), frozenset(layouts))
     return memo["positions"]
 
 

@@ -151,8 +151,7 @@ def flip_block_bit(spec, flips):
         for i, o in enumerate(outs):
             if o.protocol is None and o.payload:
                 flipped = "1" if o.payload[0] == "0" else "0"
-                outs[i] = dataclasses.replace(o, payload=flipped
-                                              + o.payload[1:])
+                outs[i] = o._replace(payload=flipped + o.payload[1:])
                 flips.append((t, p))
         return outs
 

@@ -336,23 +336,101 @@ def test_myopic_combiner_sweeps_every_chain_for_legality(name):
 
 
 def test_block_rejects_two_messages_for_one_component():
-    """A chain without a pattern that sends its block message twice
-    compiles, as its position code {"00", "11"} is prefix-free, but no run
-    may keep just one copy in the block."""
+    """A chain without a pattern that starts to send its block message
+    twice only once it is compiled, past the compile-time sweep that would
+    reject it: no run may keep just one copy in the block."""
     plan = chained_equality_plan(n=1)
     chain = plan.protocols[0]
+    live = []
 
     def next_message(p, t, views, inbox, board):
         outs = list(chain.next_message(p, t, views, inbox, board))
-        return outs * 2 if t == 2 else outs
+        return outs * 2 if live and t == 2 else outs
 
     twice = dataclasses.replace(chain, next_message=next_message,
                                 pattern=None)
     compiled = myopic_combine((twice,) + plan.protocols[1:], plan.perms,
                               plan.certificate)
+    live.append(True)
     with pytest.raises(SoundnessError, match="instance 1 sends two "
                        "messages to party 3 in the block of round 2"):
         exhaustive_verify(compiled, TruthTable.eq(5, 1))
+
+
+def _with_extra(chain, rnd, sender, extra, rounds=None):
+    """The equality ``chain`` whose ``sender`` also writes ``extra``, before
+    its own message, in round ``rnd``.  Its output flips unless the output
+    party's inbox holds its one chain record and the extra ones addressed
+    to it, so a compiled run that drops one of those is wrong."""
+    want = 1 + sum(o.recipient == chain.output_party for o in extra)
+
+    def next_message(p, t, views, inbox, board):
+        outs = list(chain.next_message(p, t, views, inbox, board))
+        return list(extra) + outs if (p, t) == (sender, rnd) else outs
+
+    def output_rule(views, inbox, board):
+        bit = chain.output_rule(views, inbox, board)[1]
+        return {1: bit if len(inbox) == want else 1 - bit}
+
+    return dataclasses.replace(chain, next_message=next_message,
+                               output_rule=output_rule,
+                               rounds=rounds or chain.rounds, pattern=None)
+
+
+# name -> (round, sender, extra messages, the chain's rounds or None for
+# its own, the compile-time error)
+_UNREPRODUCED = {
+    "empty-from-a-silent-party": (
+        1, 2, [Outgoing(5, "")], None,
+        "protocol 1: party 2 writes to party 5 in round 1, off the chain's "
+        "path"),
+    "empty-to-a-non-successor": (
+        2, 2, [Outgoing(4, "")], None,
+        "protocol 1: party 2 writes to party 4 in round 2, off the chain's "
+        "path"),
+    "empty-after-the-last-position": (
+        5, 1, [Outgoing(2, "")], 5,
+        "protocol 1: party 1 writes to party 2 in round 5, off the chain's "
+        "path"),
+    "two-records-at-the-block": (
+        2, 2, [Outgoing(3, "")], None,
+        "protocol 1: party 2 writes two records at block position 2 in "
+        "round 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNREPRODUCED))
+def test_myopic_combiner_rejects_records_its_engine_cannot_reproduce(name):
+    """The compiled engine asks only round t's speaker for instance
+    messages and keeps one per block component.  A chain that is correct
+    uncompiled but writes a record off its path, even an empty one, or two
+    records at a block position, is rejected by the compile-time sweep,
+    naming the chain, the party and the round."""
+    rnd, sender, extra, rounds, error = _UNREPRODUCED[name]
+    plan = chained_equality_plan(n=1)
+    chain = _with_extra(plan.protocols[0], rnd, sender, extra, rounds)
+    assert exhaustive_verify(chain, TruthTable.eq(5, 1)).correct
+    with pytest.raises(DomainError) as exc:
+        myopic_combine((chain,) + plan.protocols[1:], plan.perms,
+                       plan.certificate)
+    assert str(exc.value) == error
+
+
+def test_two_records_outside_a_block_still_compile():
+    """Two records at a position in no block are boarded plainly, so the
+    compiled run reproduces both."""
+    plan = chained_equality_plan(n=1)
+    chain = plan.protocols[0]
+
+    def next_message(p, t, views, inbox, board):
+        outs = list(chain.next_message(p, t, views, inbox, board))
+        return outs * 2 if t == 3 else outs
+
+    twice = dataclasses.replace(chain, next_message=next_message,
+                                pattern=None)
+    compiled = myopic_combine((twice,) + plan.protocols[1:], plan.perms,
+                              plan.certificate)
+    assert exhaustive_verify(compiled, TruthTable.eq(5, 1)).correct
 
 
 def test_myopic_combiner_rejects_bad_certificate():

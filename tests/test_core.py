@@ -12,7 +12,8 @@ from nofmux import (
     check_symmetry, compute_view, domain_size, enumerate_inputs,
     eq_two_bit_protocol, int_to_bits, measure_cost, run_protocol, xor_bits,
 )
-from nofmux.core import MessageRecord
+from nofmux import core
+from nofmux.core import MessageRecord, _record
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +78,43 @@ def test_from_index_equals_public_constructor():
         x = InputMatrix.from_index(idx, k, n, ell)
         assert x == InputMatrix(ell, k, n, x.rows)
         assert x.index == idx
+
+
+def _sliced(idx, k, n, ell):
+    """The decoder that ``from_index`` had before its table of rows: one
+    bit string for the whole matrix, cut into entries."""
+    flat = int_to_bits(idx, k * n * ell)
+    return tuple(
+        tuple(flat[(i * k + j) * n:(i * k + j + 1) * n] for j in range(k))
+        for i in range(ell))
+
+
+# (7, 2, 1) has 14-bit rows, above the table's cap: it keeps the slicing
+@pytest.mark.parametrize("k, n, ell", [(2, 1, 1), (5, 1, 3), (3, 2, 2),
+                                       (4, 3, 1), (2, 0, 3), (7, 2, 1)])
+def test_from_index_matches_the_slicing_decoder(k, n, ell):
+    for idx in range(domain_size(k, n, ell)):
+        x = InputMatrix.from_index(idx, k, n, ell)
+        assert x.rows == _sliced(idx, k, n, ell)
+        assert (x.ell, x.k, x.n, x.index) == (ell, k, n, idx)
+
+
+def test_a_shape_above_the_row_table_cap_is_tested():
+    assert 7 * 2 > core._ROW_TABLE_BITS >= 5 * 2
+
+
+@pytest.mark.parametrize("k, n, ell", [(5, 1, 3), (3, 2, 2), (7, 2, 1)])
+def test_from_index_rejects_an_out_of_range_index(k, n, ell):
+    """An index outside [0, 2^(k n ell)) raises the slicing decoder's
+    DomainError, with its message."""
+    width = k * n * ell
+    for idx in (-1, -(1 << width), 1 << width, (1 << width) + 5):
+        with pytest.raises(DomainError) as want:
+            _sliced(idx, k, n, ell)
+        with pytest.raises(DomainError) as got:
+            InputMatrix.from_index(idx, k, n, ell)
+        assert str(got.value) == str(want.value) \
+            == f"value {idx} does not fit in {width} bits"
 
 
 def test_input_matrix_entry_addressing():
@@ -405,6 +443,32 @@ def test_message_record_checks_its_fields():
         MessageRecord(1, 2, 2, "1")
     with pytest.raises(DomainError, match="'x' is not a bit string"):
         MessageRecord(1, 2, 2, "x")
+
+
+def test_records_are_tuples_whose_constructor_checks():
+    """Records and messages are tuples: equal to plain tuples of their
+    fields.  The public constructor checks the payload and the endpoints,
+    by position or by keyword (see also the test above); ``_record`` and
+    ``_replace`` do not."""
+    record = MessageRecord(1, 2, 3, "01", tag="to:3")
+    assert record == (1, 2, 3, "01", None, "to:3")
+    assert record == _record(1, 2, 3, "01", None, "to:3")
+    assert hash(record) == hash(_record(1, 2, 3, "01", None, "to:3"))
+    assert type(_record(1, 2, 3, "01")) is MessageRecord
+    assert MessageRecord(round=2, sender=1, recipient=BOARD, payload="",
+                         protocol=4) == (2, 1, BOARD, "", 4, None)
+    assert repr(record) == ("MessageRecord(round=1, sender=2, recipient=3, "
+                            "payload='01', protocol=None, tag='to:3')")
+    with pytest.raises(DomainError, match="sender equals recipient"):
+        MessageRecord(round=1, sender=2, recipient=2, payload="1")
+    edited = record._replace(payload="1", recipient=4)
+    assert type(edited) is MessageRecord
+    assert edited == MessageRecord(1, 2, 4, "1", tag="to:3")
+    assert record._replace(recipient=2).recipient == 2  # unchecked
+    out = Outgoing(3, "01")
+    assert out == (3, "01", None, None)
+    assert out._replace(tag="to:3") == Outgoing(3, "01", tag="to:3")
+    assert (1, 2, *out) == MessageRecord(1, 2, 3, "01")
 
 
 def test_input_matrix_rejects_non_bit_entry():

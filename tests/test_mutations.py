@@ -93,7 +93,7 @@ def _non_bit_in_block(q, plan):
     """The message that lies in an XOR block carries '2'."""
     rnd, sender, recipient = plan.block
     return _edit_messages(q, lambda p, t, outs: [
-        dataclasses.replace(o, payload="2")
+        o._replace(payload="2")
         if (t, p, o.recipient) == (rnd, sender, recipient) else o
         for o in outs])
 
@@ -108,7 +108,7 @@ def _duplicate_in_block(q, plan):
 def _non_successor(q, plan):
     """Position 3 of the chain sends its bit to position 5, not 4."""
     return _edit_messages(q, lambda p, t, outs: [
-        dataclasses.replace(o, recipient=q.chain[4]) if t == 3 else o
+        o._replace(recipient=q.chain[4]) if t == 3 else o
         for o in outs])
 
 
@@ -134,14 +134,13 @@ def _closure_leak(q, plan):
     known = {}
 
     def unmask(views, inbox):
-        return tuple(dataclasses.replace(
-            r, payload=_mask(r.payload, views[1][r.sender])) for r in inbox)
+        return tuple(r._replace(payload=_mask(r.payload, views[1][r.sender]))
+                     for r in inbox)
 
     def next_message(p, t, views, inbox, board):
         known.update(views[1].items())
         outs = q.next_message(p, t, views, unmask(views, inbox), board)
-        return [dataclasses.replace(o, payload=_mask(o.payload,
-                                                     known.get(p, "0")))
+        return [o._replace(payload=_mask(o.payload, known.get(p, "0")))
                 for o in outs]
 
     def output_rule(views, inbox, board):
