@@ -25,7 +25,7 @@ from .core import (
     BOARD, BudgetError, CertificateError, CommPattern, DEFAULT_BUDGET,
     DomainError, LegalityError, Model, ObliviousnessError,
     Outgoing, ProtocolSpec, RestrictionGraph, RobustnessError,
-    SoundnessError, TruthTable, _record, _validate_outgoing,
+    SoundnessError, TruthTable, _messages, _record,
     board_outputs, check_symmetry, xor_bits,
     run_protocol,  # not called here: bench/tracing.py patches it as a span
 )
@@ -44,7 +44,7 @@ class CompilationPlan:
     """Everything the combiners need, plus enough to predict the bound.
 
     ``path`` is one of t1 (general multiplexing), t2 (symmetric-function
-    pipeline), t3 (myopic, possibly non-oblivious), c2 (myopic oblivious).
+    pipeline), t3 (myopic, possibly non-oblivious), c2 (the same as t3).
     """
 
     path: str
@@ -132,14 +132,13 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
 
     A message that a group lists is XORed, zero-padded to the longest in
     its round, into the group's block; every other message is written
-    plainly, and two messages for one component of a block are rejected.
-    A recipient of a block recomputes the other components from the
-    sender's view and plainly-boarded history and strips them off.  A
+    plainly.  A recipient of a block recomputes the other components from
+    the sender's view and plainly-boarded history and strips them off.  A
     group without codes (t1/t2) needs all components to fill the block; a
     group with codes (t3/c2) leaves the recipient the unique prefix of the
     zero-padded rest that lies in its instance's code.  Every instance
-    message passes the runner's legality check under its own protocol's
-    model before it is boarded or staged.
+    rule's result passes the runner's legality rule, ``_messages``, under
+    its own protocol's model before it is boarded or staged.
 
     The demux schedule is fixed here, once: which board records feed each
     (instance, party) inbox, which instances each party runs in each round,
@@ -216,11 +215,12 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
 
     def recompute(u, sender, recipient, rnd, fed, views):
         """Instance u's round-``rnd`` message sender -> recipient, as the
-        demultiplexing party recomputes it."""
+        demultiplexing party recomputes it; as in ``_messages``, which
+        checked this result when it was sent, an empty message is none."""
         history = inbox(sender, u, rnd, fed, views)
         for o in protos[u - 1].next_message(
                 sender, rnd, {1: sub_view(sender, u, views)}, history, None):
-            if o.recipient == recipient:
+            if o.recipient == recipient and o.payload:
                 return o.payload
         return ""
 
@@ -292,19 +292,13 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
                 history, None)
             if not outs:
                 continue
-            for o in outs:
-                _validate_outgoing(q, p, t, o)
+            for o in _messages(q, p, t, outs):
                 gi = consumed.get((u, p, o.recipient))
                 if gi is None:
                     results.append(Outgoing(BOARD, o.payload, u,
                                             to_tags[o.recipient]))
                 else:
-                    parts = staged.setdefault(gi, {})
-                    if (u, o.recipient) in parts:
-                        raise SoundnessError(
-                            f"instance {u} sends two messages to party "
-                            f"{o.recipient} in the block of round {t}")
-                    parts[u, o.recipient] = o.payload
+                    staged.setdefault(gi, {})[u, o.recipient] = o.payload
         for gi, parts in sorted(staged.items()):
             payloads = [parts.get(c, "") for c in groups[gi].components]
             width = max(len(w) for w in payloads)
@@ -314,8 +308,7 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
             acc = "0" * width
             for w in payloads:
                 acc = xor_bits(acc, w.ljust(width, "0"))
-            if width:
-                results.append(Outgoing(BOARD, acc, None, mux_tags[gi]))
+            results.append(Outgoing(BOARD, acc, None, mux_tags[gi]))
         return results
 
     def output_rule(views, board_inbox, board):
@@ -419,9 +412,10 @@ def myopic_combine(protocols: Sequence[ProtocolSpec],
     """Combine one-way chains on the board, XOR-writing the certified
     position messages zero-padded to the longest of their group.
 
-    Every chain is swept uncompiled, under the myopic legality check, and
-    rejected if it writes a record, even an empty one, off its path or twice
-    at a block's position: the compiled engine could not reproduce it.
+    Every chain is swept uncompiled, so one that breaks the runner's
+    legality rule fails here with its run's LegalityError, even in no
+    triplet.  A legal chain writes at most one record a round, from the
+    round's speaker, the one party the engine runs it for.
     Chains need not be oblivious: a recipient self-delimits its message by
     its chain's prefix-free code at the block's position.  The compiled
     protocol declares a pattern when every chain does.
@@ -445,19 +439,8 @@ def myopic_combine(protocols: Sequence[ProtocolSpec],
     verdict = is_repetitive_set(cert, perms)
     if not verdict:
         raise CertificateError(verdict.reason)
-    blocks = {(u, t.pos) for t in cert for u in t.U}
-    for u, q in enumerate(protos, start=1):
-        path = {(t, q.chain[t - 1], q.chain[t]) for t in range(1, k)}
-        for layout in sorted(_position_sweep(q, budget).layouts):
-            for i, (rnd, sender, recipient) in enumerate(layout):
-                if (rnd, sender, recipient) not in path:
-                    raise DomainError(
-                        f"protocol {u}: party {sender} writes to party "
-                        f"{recipient} in round {rnd}, off the chain's path")
-                if i and layout[i - 1][0] == rnd and (u, rnd) in blocks:
-                    raise DomainError(
-                        f"protocol {u}: party {sender} writes two records "
-                        f"at block position {rnd} in round {rnd}")
+    for q in protos:
+        _position_sweep(q, budget)
     for t in cert:
         for u in sorted(t.U):
             if not check_prefix_free(protos[u - 1], t.pos, budget):
@@ -487,30 +470,7 @@ def predicted_bound(plan: CompilationPlan,
                       for t in plan.certificate)
         payload = plan.ell * base.total_bits() - savings
         return Bound(payload + plan.ell, payload)
-    if plan.path == "c2":
-        return _corollary2_bound(plan)
     return _theorem3_bound(plan, budget)
-
-
-def _corollary2_bound(plan: CompilationPlan) -> Bound:
-    patterns = [q.pattern for q in plan.protocols]
-    if any(p is None for p in patterns):
-        raise ObliviousnessError("the c2 bound needs oblivious chains")
-    k = plan.protocols[0].k
-    per_position = [patterns[0].length(t, plan.perms[0](t),
-                                       plan.perms[0](t + 1))
-                    for t in range(1, k)]
-    for u, q in enumerate(plan.protocols, start=1):
-        pi = plan.perms[u - 1]
-        got = [patterns[u - 1].length(t, pi(t), pi(t + 1))
-               for t in range(1, k)]
-        if got != per_position:
-            raise RobustnessError(f"chain {u} has a different per-position "
-                                  "pattern")
-    savings = sum((len(t.U) - 1) * per_position[t.pos - 1]
-                  for t in plan.certificate)
-    payload = plan.ell * sum(per_position) - savings
-    return Bound(payload + plan.ell, payload)
 
 
 def _theorem3_bound(plan: CompilationPlan, budget: int) -> Bound:

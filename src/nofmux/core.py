@@ -541,27 +541,49 @@ def compute_view(graph: RestrictionGraph, x: InputMatrix,
     return View(party, {j: x.x(instance, j) for j in graph.neighbors(party)})
 
 
-def _validate_outgoing(spec: ProtocolSpec, sender: int, rnd: int,
-                       out: Outgoing) -> None:
-    if out.payload.strip("01"):
-        _check_bits(out.payload)  # raises the bit-string DomainError
-    if spec.model is _ON_BOARD:
-        if out.recipient != BOARD:
+def _messages(spec: ProtocolSpec, sender: int, rnd: int,
+              outs: Sequence[Outgoing]) -> Sequence[Outgoing]:
+    """The messages that ``sender``'s rule result ``outs`` sends in round
+    ``rnd``, the one legality rule: each is checked in order for the spec's
+    model, an empty one is no message and is dropped, and a second one on a
+    channel (the recipient, or on the board the (protocol, tag) pair)
+    raises LegalityError.  So a record's presence, and the split of bits
+    into records, carry nothing.  One message is returned as it is."""
+    on_board = spec.model is _ON_BOARD
+    for out in outs:
+        if out.payload.strip("01"):
+            _check_bits(out.payload)  # raises the bit-string DomainError
+        if on_board:
+            if out.recipient == BOARD:
+                continue
             raise LegalityError("board protocols may only write on the board")
-        return
-    if not (1 <= out.recipient <= spec.k):
-        raise LegalityError(f"recipient {out.recipient} out of range")
-    if out.recipient == sender:
-        raise LegalityError("party cannot send to itself")
-    if spec.model is _MYOPIC and out.payload:
-        if rnd > spec.k:
-            raise LegalityError(f"myopic round {rnd}: no bits after round "
-                                f"{spec.k - 1}")
-        if (rnd == spec.k or spec.chain[rnd - 1] != sender
-                or spec.chain[rnd] != out.recipient):
-            raise LegalityError(
-                f"myopic round {rnd}: only {spec.chain[rnd - 1]}->"
-                f"{spec.chain[rnd] if rnd < spec.k else '?'} may carry bits")
+        if not (1 <= out.recipient <= spec.k):
+            raise LegalityError(f"recipient {out.recipient} out of range")
+        if out.recipient == sender:
+            raise LegalityError("party cannot send to itself")
+        if spec.model is _MYOPIC and out.payload:
+            if rnd > spec.k:
+                raise LegalityError(f"myopic round {rnd}: no bits after "
+                                    f"round {spec.k - 1}")
+            if (rnd == spec.k or spec.chain[rnd - 1] != sender
+                    or spec.chain[rnd] != out.recipient):
+                raise LegalityError(
+                    f"myopic round {rnd}: only {spec.chain[rnd - 1]}->"
+                    f"{spec.chain[rnd] if rnd < spec.k else '?'} may carry "
+                    f"bits")
+    if len(outs) == 1:
+        return outs if outs[0].payload else ()
+    kept, channels = [], set()
+    for out in outs:
+        if out.payload:
+            channel = (out.protocol, out.tag) if on_board else out.recipient
+            if channel in channels:
+                where = "on board channel" if on_board else "to party"
+                raise LegalityError(f"party {sender} sends two messages "
+                                    f"{where} {channel} in round {rnd}")
+            channels.add(channel)
+            kept.append(out)
+    return kept
 
 
 def _round_order(r: MessageRecord) -> tuple[int, int, int]:
@@ -576,8 +598,9 @@ _VIEW_TABLE_CAP = 512
 def run_protocol(spec: ProtocolSpec, x: InputMatrix) -> Transcript:
     """Execute all rounds synchronously and collect the declared outputs.
 
-    Messages sent in round t may depend only on rounds 1..t-1.  Within a
-    round, records are ordered by (sender, protocol index, recipient).
+    Messages sent in round t may depend only on rounds 1..t-1, and pass
+    ``_messages``.  Within a round, records are ordered by (sender,
+    protocol index, recipient).
     Views are those of ``compute_view``, built from the spec's visibility
     table and interned by what their party sees: rows that show a party
     the same inputs give it the same view, along with the projections
@@ -626,8 +649,7 @@ def run_protocol(spec: ProtocolSpec, x: InputMatrix) -> Transcript:
             outs = next_message(p, t, view, inboxes[p], board)
             if not outs:
                 continue
-            for out in outs:
-                _validate_outgoing(spec, p, t, out)
+            for out in _messages(spec, p, t, outs):
                 # an Outgoing's fields are a record's after round and sender
                 round_records.append(new(MessageRecord, (t, p, *out)))
         if len(round_records) > 1:
@@ -664,7 +686,7 @@ def _realized_lengths(t: Transcript) -> dict[tuple[int, int, int], int]:
     for r in t.records:
         key = (r.round, r.sender, r.recipient)
         realized[key] = realized.get(key, 0) + len(r.payload)
-    return {k: v for k, v in realized.items() if v}
+    return realized
 
 
 def assert_pattern(spec: ProtocolSpec, x: InputMatrix,

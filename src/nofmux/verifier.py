@@ -322,36 +322,32 @@ class _Positions(NamedTuple):
     """One sweep of a myopic chain, reduced to what its callers keep."""
     messages: tuple[frozenset[str], ...]  # per position, distinct messages
     costs: tuple[tuple[int, ...], ...]    # per input index, per position bits
-    layouts: frozenset[tuple]  # distinct runs' (round, sender, recipient)s
 
 
 def _position_sweep(spec: ProtocolSpec, budget: int) -> _Positions:
     """Sweep a myopic chain once and keep, per position, its distinct
-    messages, per input, each position's message length, and its record
-    layouts.  Only round t's speaker, position t, may carry bits, so round
-    t's concatenated payloads are position t's message.  The result is kept
-    on the spec, so ``myopic_combine``, which sweeps every chain for
-    legality and reads its layouts, prefix checks and block codes here, and
-    the t3 bound share one sweep per chain; its runs go to the spec's table
-    of runs, which ``measure_cost`` reads.  The budget guard runs always."""
+    messages, and per input, each position's message length: a legal run
+    has one record at most in round t, position t's message.  The result is
+    kept on the spec, so ``myopic_combine``, which sweeps every chain for
+    legality and reads its prefix checks and block codes here, and the t3
+    bound share one sweep per chain; its runs go to the spec's table of
+    runs, which ``measure_cost`` reads.  The budget guard runs always."""
     domain = _domain(spec, budget)
     memo = spec._memo
     if "positions" not in memo:
         messages = [set() for _ in range(spec.k - 1)]
         rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-        costs, layouts = [], set()
+        costs = []
         for _, t in sweep(spec, domain, _runs(spec)):
-            layouts.add(tuple([r[:3] for r in t.records]))
             words = [""] * (spec.k - 1)
             for r in t.records:
-                if r.payload:
-                    words[r.round - 1] += r.payload
+                words[r.round - 1] = r.payload
             for found, word in zip(messages, words):
                 found.add(word)
             row = tuple(len(w) for w in words)
             costs.append(rows.setdefault(row, row))
         memo["positions"] = _Positions(tuple(map(frozenset, messages)),
-                                       tuple(costs), frozenset(layouts))
+                                       tuple(costs))
     return memo["positions"]
 
 

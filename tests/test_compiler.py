@@ -338,7 +338,8 @@ def test_myopic_combiner_sweeps_every_chain_for_legality(name):
 def test_block_rejects_two_messages_for_one_component():
     """A chain without a pattern that starts to send its block message
     twice only once it is compiled, past the compile-time sweep that would
-    reject it: no run may keep just one copy in the block."""
+    reject it, raises the uncompiled run's LegalityError: no run may keep
+    just one copy in the block."""
     plan = chained_equality_plan(n=1)
     chain = plan.protocols[0]
     live = []
@@ -352,9 +353,12 @@ def test_block_rejects_two_messages_for_one_component():
     compiled = myopic_combine((twice,) + plan.protocols[1:], plan.perms,
                               plan.certificate)
     live.append(True)
-    with pytest.raises(SoundnessError, match="instance 1 sends two "
-                       "messages to party 3 in the block of round 2"):
+    with pytest.raises(LegalityError) as uncompiled:
+        run_protocol(twice, InputMatrix.from_index(0, 5, 1, 1))
+    with pytest.raises(LegalityError, match="party 2 sends two messages to "
+                       "party 3 in round 2") as exc:
         exhaustive_verify(compiled, TruthTable.eq(5, 1))
+    assert str(exc.value) == str(uncompiled.value)
 
 
 def _with_extra(chain, rnd, sender, extra, rounds=None):
@@ -378,47 +382,43 @@ def _with_extra(chain, rnd, sender, extra, rounds=None):
 
 
 # name -> (round, sender, extra messages, the chain's rounds or None for
-# its own, the compile-time error)
-_UNREPRODUCED = {
-    "empty-from-a-silent-party": (
-        1, 2, [Outgoing(5, "")], None,
-        "protocol 1: party 2 writes to party 5 in round 1, off the chain's "
-        "path"),
-    "empty-to-a-non-successor": (
-        2, 2, [Outgoing(4, "")], None,
-        "protocol 1: party 2 writes to party 4 in round 2, off the chain's "
-        "path"),
-    "empty-after-the-last-position": (
-        5, 1, [Outgoing(2, "")], 5,
-        "protocol 1: party 1 writes to party 2 in round 5, off the chain's "
-        "path"),
-    "two-records-at-the-block": (
-        2, 2, [Outgoing(3, "")], None,
-        "protocol 1: party 2 writes two records at block position 2 in "
-        "round 2"),
+# its own, whether the chain is still correct once its empty records are
+# dropped)
+_EMPTY_RECORDS = {
+    # the output party's inbox is one record short of what the chain wants
+    "empty-from-a-silent-party": (1, 2, [Outgoing(5, "")], None, False),
+    "empty-to-a-non-successor": (2, 2, [Outgoing(4, "")], None, True),
+    "empty-after-the-last-position": (5, 1, [Outgoing(2, "")], 5, True),
+    "two-records-at-the-block": (2, 2, [Outgoing(3, "")], None, True),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_UNREPRODUCED))
-def test_myopic_combiner_rejects_records_its_engine_cannot_reproduce(name):
-    """The compiled engine asks only round t's speaker for instance
-    messages and keeps one per block component.  A chain that is correct
-    uncompiled but writes a record off its path, even an empty one, or two
-    records at a block position, is rejected by the compile-time sweep,
-    naming the chain, the party and the round."""
-    rnd, sender, extra, rounds, error = _UNREPRODUCED[name]
+@pytest.mark.parametrize("name", sorted(_EMPTY_RECORDS))
+def test_myopic_combiner_agrees_on_empty_records(name):
+    """An empty message is no message, compiled or not.  A chain that
+    writes an empty record off its path, or one beside its message at a
+    block position, compiles, and the compiled run gives the chain's own
+    verdict and first counterexample."""
+    rnd, sender, extra, rounds, correct = _EMPTY_RECORDS[name]
     plan = chained_equality_plan(n=1)
     chain = _with_extra(plan.protocols[0], rnd, sender, extra, rounds)
-    assert exhaustive_verify(chain, TruthTable.eq(5, 1)).correct
-    with pytest.raises(DomainError) as exc:
+    f = TruthTable.eq(5, 1)
+    alone = exhaustive_verify(chain, f)
+    compiled = exhaustive_verify(
         myopic_combine((chain,) + plan.protocols[1:], plan.perms,
-                       plan.certificate)
-    assert str(exc.value) == error
+                       plan.certificate), f)
+    assert alone.correct == compiled.correct == correct
+    if not correct:
+        want, got = alone.counterexample, compiled.counterexample
+        assert got.instance == 1 and got.rows[0] == want.rows[0]
+        assert (got.protocol_output, got.expected) == (want.protocol_output,
+                                                       want.expected)
 
 
-def test_two_records_outside_a_block_still_compile():
-    """Two records at a position in no block are boarded plainly, so the
-    compiled run reproduces both."""
+def test_two_records_outside_a_block_raise_the_runs_legality_error():
+    """Two messages on one channel split a message into records, which
+    would carry information for free, so a chain that sends them at a
+    position in no block fails to compile with its run's LegalityError."""
     plan = chained_equality_plan(n=1)
     chain = plan.protocols[0]
 
@@ -428,9 +428,12 @@ def test_two_records_outside_a_block_still_compile():
 
     twice = dataclasses.replace(chain, next_message=next_message,
                                 pattern=None)
-    compiled = myopic_combine((twice,) + plan.protocols[1:], plan.perms,
-                              plan.certificate)
-    assert exhaustive_verify(compiled, TruthTable.eq(5, 1)).correct
+    with pytest.raises(LegalityError) as uncompiled:
+        run_protocol(twice, InputMatrix.from_index(0, 5, 1, 1))
+    with pytest.raises(LegalityError) as compiled:
+        myopic_combine((twice,) + plan.protocols[1:], plan.perms,
+                       plan.certificate)
+    assert str(compiled.value) == str(uncompiled.value)
 
 
 def test_myopic_combiner_rejects_bad_certificate():

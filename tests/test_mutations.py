@@ -149,6 +149,26 @@ def _closure_leak(q, plan):
     return next_message, output_rule
 
 
+def _zero_bit_signal(q, plan):
+    """Each one-bit message to the output party is sent for free: an empty
+    message when the bit is 1 and none when it is 0.  The output party
+    reads an empty record as 1 and no record as 0."""
+    out = q.output_party
+
+    def next_message(p, t, views, inbox, board):
+        outs = q.next_message(p, t, views, inbox, board)
+        return [o._replace(payload="") if o.recipient == out else o
+                for o in outs if o.recipient != out or o.payload == "1"]
+
+    def output_rule(views, inbox, board):
+        heard = tuple(r._replace(payload="1") if not r.payload else r
+                      for r in inbox)
+        return q.output_rule(views, heard or (_record(0, 0, out, "0"),),
+                             board)
+
+    return next_message, output_rule
+
+
 def _in_instance(u, mutate):
     """Build the plan with instance u's protocol mutated, live only once
     the compiled spec is built."""
@@ -222,6 +242,7 @@ MUTATIONS = {
     "read-a-round-too-early": _Mutation(_read_too_early, T3, starves=True),
     "wrong-row-or-chain-swap": _Mutation(_in_instance(2, _swap), ALL),
     "closure-leak": _Mutation(_in_instance(1, _closure_leak), ALL),
+    "zero-bit-signal": _Mutation(_in_instance(1, _zero_bit_signal), ALL),
     "xor-block-bit-flip": _Mutation(_flip_block_bit, ALL),
 }
 

@@ -147,6 +147,67 @@ def test_report_json_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# information only in bits
+# ---------------------------------------------------------------------------
+
+_X3 = TruthTable.from_function(3, 1, lambda args: int(args[2]))
+
+
+def _signal_x3(model, send, output_rule):
+    """A one-round protocol for f = x_3 on k=3, n=1: party 1, which sees
+    x_3, sends ``send(x_3)``, and the output party, which does not see x_3,
+    outputs ``output_rule``.  On graphs party 2 sees only x_1 and outputs;
+    on the board party 3 outputs."""
+    graph = (RestrictionGraph(3, frozenset({(1, 3), (2, 1)}))
+             if model is Model.NOF_GRAPH else None)
+
+    def next_message(p, t, views, inbox, board):
+        return send(views[1][3]) if p == 1 else []
+
+    return ProtocolSpec(
+        name="x3-signal", model=model, k=3, n=1, ell=1, rounds=1,
+        next_message=next_message, output_party=2 if graph else 3,
+        output_rule=output_rule, graph=graph)
+
+
+@pytest.mark.parametrize("model, send, heard", [
+    (Model.NOF_GRAPH, Outgoing(2, ""), lambda views, inbox, board: inbox),
+    (Model.NOF_BOARD, Outgoing(BOARD, ""), lambda views, inbox, board: board),
+], ids=["graph", "board"])
+def test_an_empty_message_carries_no_information(model, send, heard):
+    """Party 1 sends an empty message only when x_3 = 1, and the output
+    party outputs how many records it heard, in its inbox or on the board.
+    An empty message is no message, so this is a counterexample, not a
+    correct protocol at 0 bits."""
+    spec = _signal_x3(model, lambda x3: [send] if x3 == "1" else [],
+                      lambda *seen: {1: len(heard(*seen))})
+    report = exhaustive_verify(spec, _X3)
+    assert not report.correct
+    assert report.counterexample.input_index == 1
+    assert report.measured_worst_case == 0
+
+
+@pytest.mark.parametrize("model, to, heard, channel", [
+    (Model.NOF_GRAPH, 2, lambda views, inbox, board: inbox, "to party 2"),
+    (Model.NOF_BOARD, BOARD, lambda views, inbox, board: board,
+     r"on board channel \(None, None\)"),
+], ids=["graph", "board"])
+def test_splitting_a_message_into_records_is_illegal(model, to, heard,
+                                                     channel):
+    """Party 1 sends the constant payload 11 as two records when x_3 = 1
+    and as one otherwise, and the output party outputs the record count
+    less one.  A second message on one channel raises LegalityError."""
+    spec = _signal_x3(
+        model,
+        lambda x3: ([Outgoing(to, "1")] * 2 if x3 == "1"
+                    else [Outgoing(to, "11")]),
+        lambda *seen: {1: len(heard(*seen)) - 1})
+    with pytest.raises(LegalityError, match=f"^party 1 sends two messages "
+                       f"{channel} in round 1$"):
+        exhaustive_verify(spec, _X3)
+
+
+# ---------------------------------------------------------------------------
 # prefix-freeness
 # ---------------------------------------------------------------------------
 
@@ -337,7 +398,7 @@ def _outcome(check, spec, x):
 def _forehead_forwarding_lemma1():
     """Seeded fault in lemma1: in round 1 party 2 saves x_{1,3}, which it
     sees, in a closure dict, and party 3 then writes that bit of its own
-    forehead on the board after its real message."""
+    forehead on the board after its real message, under its own tag."""
     spec = lemma1_protocol(random_truth_table(3, 1, 24))
     saved = {}
 
@@ -346,7 +407,7 @@ def _forehead_forwarding_lemma1():
         if t == 1 and p == 2:
             saved["x13"] = views[1][3]
         if t == 1 and p == 3:
-            out.append(Outgoing(BOARD, saved["x13"]))
+            out.append(Outgoing(BOARD, saved["x13"], tag="leak"))
         return out
 
     return dataclasses.replace(spec, name="forwarding",
