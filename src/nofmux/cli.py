@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .acceptance import naive_baseline, run_demo
 from .combinatorics import (
-    CheckResult, MatrixA, Permutation, build_matrix_a, certificate_from_json,
+    MatrixA, Permutation, build_matrix_a, certificate_from_json,
     is_filtering_set, is_multiplexing_set, is_repetitive_set,
 )
 from .compiler import (
@@ -46,9 +46,9 @@ def _load_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise SystemExit(f"error: file not found: {path}") from None
+        raise DomainError(f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"error: malformed JSON in {path}: {exc}") from None
+        raise DomainError(f"malformed JSON in {path}: {exc}") from None
 
 
 @contextmanager
@@ -58,9 +58,9 @@ def _fields_of(what: str):
     try:
         yield
     except KeyError as exc:
-        raise SystemExit(f"error: {what} has no field {exc}") from None
+        raise DomainError(f"{what} has no field {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise SystemExit(f"error: malformed {what}: {exc}") from None
+        raise DomainError(f"malformed {what}: {exc}") from None
 
 
 def _resolve_graph(source, k: int) -> RestrictionGraph:
@@ -115,7 +115,7 @@ def _load_plan(path: str, budget: int):
         theorem_path = data["path"]
         k, n, ell = int(data["k"]), int(data["n"]), int(data["ell"])
         f = _resolve_function(data.get("function", {}), k, n)
-        kind, cert_k, cert_ell, triplets, cert_perms = _resolve_certificate(
+        _, cert_k, cert_ell, triplets, cert_perms = _resolve_certificate(
             data["certificate"])
         if (cert_k, cert_ell) != (k, ell):
             raise DomainError(f"certificate declares k={cert_k}, "
@@ -165,15 +165,12 @@ def _cmd_validate(args) -> int:
             or wants_perms and perms is None):
         needs = (["--graph"] * wants_graph
                  + ["permutations in the file"] * wants_perms)
-        raise SystemExit(f"error: {kind} certificates need "
-                         f"{' and '.join(needs)}")
+        raise DomainError(f"{kind} certificates need {' and '.join(needs)}")
     graph = _resolve_graph(args.graph, k) if wants_graph else None
     notes = []
     if kind == "filtering":
         res = is_filtering_set(triplets, graph, ell)
         notes = [f"R({a})={res.r_values[a]}" for a in sorted(res.r_values)]
-        if res and not res.is_ell_filtering:
-            res = CheckResult(False, f"R(S) exceeds ell - 1 = {ell - 1}")
     elif kind == "multiplexing":
         res = is_multiplexing_set(triplets, perms, graph)
     else:
@@ -198,12 +195,9 @@ def _matrix_json(matrix: MatrixA) -> dict:
 
 
 def _cmd_matrix(args) -> int:
-    kind, k, ell, triplets, perms = _resolve_certificate(args.certificate)
-    if kind != "filtering":
-        raise SystemExit("error: matrix construction needs a filtering "
-                         "certificate")
+    _, k, ell, triplets, _ = _resolve_certificate(args.certificate)
     if args.graph is None:
-        raise SystemExit("error: matrix construction needs --graph")
+        raise DomainError("matrix construction needs --graph")
     graph = _resolve_graph(args.graph, k)
     matrix = build_matrix_a(graph, ell, triplets)
     for (i, j), row in sorted(matrix.row_map.items()):
@@ -323,9 +317,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        print(exc, file=sys.stderr)
-        return USAGE_ERROR
     except NofmuxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR if isinstance(exc, DomainError) else 1

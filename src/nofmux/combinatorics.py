@@ -115,12 +115,25 @@ def _fail(reason: str) -> CheckResult:
 _OK = CheckResult(True)
 
 
+_TRIPLETS = {"filtering": FilteringTriplet, "multiplexing": MultiplexTriplet,
+             "repetitive": BindingTriplet}
+
+
+def _triplet_class(kind: str) -> type:
+    """The one table of certificate kinds: the triplet class each holds."""
+    if kind not in _TRIPLETS:
+        raise DomainError(f"unknown certificate kind {kind!r}")
+    return _TRIPLETS[kind]
+
+
 def _check_shape(kind: str, k: int, triplets: Sequence,
                  perms: Sequence[Permutation] | None = None,
                  ell: int | None = None) -> None:
-    """Raise DomainError unless the permutations and the triplets' entries
-    fit k parties and, where ``ell`` is given, ell protocols; every
-    certificate read and every validator runs this before anything else."""
+    """Raise DomainError unless the triplets are of the kind's class and
+    they and the permutations fit k parties and, where ``ell`` is given,
+    ell protocols; every certificate read and write, every validator and
+    every plan runs this before anything else."""
+    cls = _triplet_class(kind)
     if perms is not None and any(p.k != k for p in perms):
         raise DomainError(f"need permutations of [1,{k}]")
     # range tops of each triplet's fields: parties, positions that have a
@@ -128,6 +141,9 @@ def _check_shape(kind: str, k: int, triplets: Sequence,
     tops = {"filtering": (k, k, k), "multiplexing": (k, k, ell),
             "repetitive": (k - 1, k, ell)}[kind]
     for t in triplets:
+        if type(t) is not cls:
+            raise DomainError(f"a {kind} certificate holds {cls.__name__}s, "
+                              f"not {type(t).__name__}")
         first, second, group = dataclasses.astuple(t)
         for top, values in zip(tops, ((first,), (second,), group)):
             if top is not None and not all(1 <= v <= top for v in values):
@@ -202,28 +218,20 @@ def is_multiplexing_set(triplets: Sequence[MultiplexTriplet],
 
 
 @dataclass(frozen=True)
-class FilteringCheck:
-    ok: bool
-    reason: str | None
-    r_values: Mapping[int, int]     # sender -> sum of |B| over its triplets
-    is_ell_filtering: bool
-
-    def __bool__(self) -> bool:
-        return self.ok
+class FilteringCheck(CheckResult):
+    # sender -> R(a), the sum of |B| over its triplets
+    r_values: Mapping[int, int] = dataclasses.field(default_factory=dict)
 
 
 def is_filtering_set(triplets: Sequence[FilteringTriplet],
                      graph: RestrictionGraph, ell: int) -> FilteringCheck:
     """Per-triplet containment, pairwise disjointness, and R(S) <= ell - 1."""
     _check_shape("filtering", graph.k, triplets)
-    r_values: dict[int, int] = {}
-    for t in triplets:
-        r_values[t.a] = r_values.get(t.a, 0) + len(t.B)
-    max_r = max(r_values.values(), default=0)
-    is_ell = max_r <= ell - 1
+    r_values = {t.a: sum(len(u.B) for u in triplets if u.a == t.a)
+                for t in triplets}
 
     def fail(reason: str) -> FilteringCheck:
-        return FilteringCheck(False, reason, r_values, is_ell)
+        return FilteringCheck(False, reason, r_values)
 
     for t in triplets:
         if not set(t.B) <= graph.non_neighbors(t.a):
@@ -239,7 +247,10 @@ def is_filtering_set(triplets: Sequence[FilteringTriplet],
             if j > i and ({t1.b, *t1.B} & {t2.b, *t2.B}):
                 return fail(f"pairwise: triplets {i + 1} and {j + 1} share "
                             f"recipients")
-    return FilteringCheck(True, None, r_values, is_ell)
+    r = max(r_values.values(), default=0)
+    if r > ell - 1:
+        return fail(f"R(S) = {r} exceeds ell - 1 = {ell - 1}")
+    return FilteringCheck(True, None, r_values)
 
 
 @dataclass(frozen=True)
@@ -276,10 +287,6 @@ def build_matrix_a(graph: RestrictionGraph, ell: int,
     check = is_filtering_set(triplets, graph, ell)
     if not check:
         raise CertificateError(f"not a filtering set: {check.reason}")
-    if not check.is_ell_filtering:
-        raise CertificateError(
-            f"R(S) = {max(check.r_values.values(), default=0)} exceeds "
-            f"ell - 1 = {ell - 1}")
     k = graph.k
 
     last: dict[int, int] = {}
@@ -405,15 +412,12 @@ def is_repetitive_set(triplets: Sequence[BindingTriplet],
 
 def certificate_to_json(kind: str, k: int, ell: int, triplets: Sequence,
                         perms: Sequence[Permutation] | None = None) -> dict:
-    data: dict = {"kind": kind, "k": k, "ell": ell}
-    if kind == "filtering":
-        data["triplets"] = [[t.a, t.b, list(t.B)] for t in triplets]
-    elif kind == "multiplexing":
-        data["triplets"] = [[t.a, t.b, sorted(t.R)] for t in triplets]
-    elif kind == "repetitive":
-        data["triplets"] = [[t.pos, t.s, sorted(t.U)] for t in triplets]
-    else:
-        raise DomainError(f"unknown certificate kind {kind!r}")
+    """One [first, second, group] row per triplet, sets sorted and B in its
+    order, of a certificate that ``certificate_from_json`` reads back."""
+    _check_shape(kind, k, triplets, perms)
+    data: dict = {"kind": kind, "k": k, "ell": ell, "triplets": [
+        [a, b, sorted(g) if isinstance(g, frozenset) else list(g)]
+        for a, b, g in map(dataclasses.astuple, triplets)]}
     if perms is not None:
         data["permutations"] = [list(p.image) for p in perms]
     return data
@@ -424,19 +428,10 @@ def certificate_from_json(data: Mapping) -> tuple[str, int, int, tuple,
     """Returns (kind, k, ell, triplets, permutations-or-None); permutations
     or triplet entries that do not fit ``k`` raise DomainError."""
     kind = data["kind"]
+    cls = _triplet_class(kind)
     k, ell = int(data["k"]), int(data["ell"])
-    raw = data["triplets"]
-    if kind == "filtering":
-        triplets = tuple(FilteringTriplet(int(a), int(b), tuple(map(int, B)))
-                         for a, b, B in raw)
-    elif kind == "multiplexing":
-        triplets = tuple(MultiplexTriplet(int(a), int(b), frozenset(map(int, R)))
-                         for a, b, R in raw)
-    elif kind == "repetitive":
-        triplets = tuple(BindingTriplet(int(p), int(s), frozenset(map(int, U)))
-                         for p, s, U in raw)
-    else:
-        raise DomainError(f"unknown certificate kind {kind!r}")
+    triplets = tuple(cls(int(a), int(b), [int(v) for v in group])
+                     for a, b, group in data["triplets"])
     perms = None
     if "permutations" in data:
         perms = tuple(Permutation(tuple(map(int, img)))

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .combinatorics import (
-    BindingTriplet, FilteringTriplet, MatrixA, Permutation, build_matrix_a,
-    filtering_to_multiplexing, is_multiplexing_set, is_repetitive_set,
-    permute_graph,
+    BindingTriplet, FilteringTriplet, MatrixA, Permutation, _check_shape,
+    build_matrix_a, filtering_to_multiplexing, is_multiplexing_set,
+    is_repetitive_set, permute_graph,
 )
 from .core import (
     BOARD, BudgetError, CertificateError, CommPattern, DEFAULT_BUDGET,
@@ -57,9 +57,13 @@ class CompilationPlan:
     def __post_init__(self) -> None:
         if self.path not in ("t1", "t2", "t3", "c2"):
             raise DomainError(f"unknown theorem path {self.path!r}")
-        if not (len(self.perms) == len(self.protocols) == self.ell):
+        if not (len(self.perms) == len(self.protocols) == self.ell > 0):
             raise DomainError("plan needs one permutation and one protocol "
                               "per instance")
+        # a t2 plan holds the multiplexing set converted from its filtering set
+        kind = "multiplexing" if self.path in ("t1", "t2") else "repetitive"
+        _check_shape(kind, self.protocols[0].k, self.certificate, self.perms,
+                     self.ell)
 
 
 # ---------------------------------------------------------------------------

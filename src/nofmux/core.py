@@ -405,9 +405,6 @@ class CommPattern:
             if t < 1 or t > self.rounds or v < 0:
                 raise DomainError(f"bad pattern entry {(t, i, j)}: {v}")
 
-    def length(self, t: int, i: int, j: int) -> int:
-        return self.lengths.get((t, i, j), 0)
-
     def total_bits(self) -> int:
         return sum(self.lengths.values())
 
@@ -508,15 +505,12 @@ class Transcript:
     outputs: Mapping[int, int]
     total_bits: int
 
-    def channel_totals(self) -> dict[tuple[int, int], int]:
-        return self.costs()[0]
-
     def payload_bits(self) -> int:
         """Bits excluding output-distribution writes (records tagged out:*)."""
         return self.costs()[1]
 
     def costs(self) -> tuple[dict[tuple[int, int], int], int]:
-        """``channel_totals()`` and ``payload_bits()``, from one pass."""
+        """Bits per (sender, recipient) and ``payload_bits()``, in one pass."""
         totals: dict[tuple[int, int], int] = {}
         payload = 0
         for _, sender, recipient, word, _, tag in self.records:
@@ -545,10 +539,10 @@ def _messages(spec: ProtocolSpec, sender: int, rnd: int,
               outs: Sequence[Outgoing]) -> Sequence[Outgoing]:
     """The messages that ``sender``'s rule result ``outs`` sends in round
     ``rnd``, the one legality rule: each is checked in order for the spec's
-    model, an empty one is no message and is dropped, and a second one on a
-    channel (the recipient, or on the board the (protocol, tag) pair)
-    raises LegalityError.  So a record's presence, and the split of bits
-    into records, carry nothing.  One message is returned as it is."""
+    model, an empty one is dropped, and a second one on a channel (the
+    recipient, or the board's (protocol, tag) pair) or a point-to-point one
+    with a protocol or a tag raises LegalityError: only bits, and a board
+    channel, carry information.  One message is returned as it is."""
     on_board = spec.model is _ON_BOARD
     for out in outs:
         if out.payload.strip("01"):
@@ -561,6 +555,9 @@ def _messages(spec: ProtocolSpec, sender: int, rnd: int,
             raise LegalityError(f"recipient {out.recipient} out of range")
         if out.recipient == sender:
             raise LegalityError("party cannot send to itself")
+        if out.protocol is not None or out.tag is not None:
+            raise LegalityError("a point-to-point message carries no "
+                                "protocol or tag")
         if spec.model is _MYOPIC and out.payload:
             if rnd > spec.k:
                 raise LegalityError(f"myopic round {rnd}: no bits after "

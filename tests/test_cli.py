@@ -309,9 +309,33 @@ _T3_PLAN = {
                     "triplets": [[2, 2, [1, 2]]],
                     "permutations": [[1, 2, 3, 4, 5], [4, 2, 5, 1, 3]]},
 }
+_T1_PLAN = {
+    "path": "t1", "k": 4, "n": 1, "ell": 3,
+    "function": {"kind": "random", "seed": 5},
+    "protocols": [{"family": "example1-variant", "i": i} for i in (1, 2, 3)],
+    "permutations": [[1, 2, 3, 4], [2, 3, 1, 4], [3, 1, 2, 4]],
+    "graph": {"builtin": "example1"},
+}
+_T2_PLAN = {
+    "path": "t2", "k": 5, "n": 1, "ell": 2,
+    "function": {"kind": "eq"},
+    "protocol": {"family": "example3"},
+    "graph": {"builtin": "example3", "k": 5},
+}
 PLAN_ERRORS = {
     "permutation-count": {"permutations": [[1, 2, 3, 4, 5]]},
     "unknown-theorem-path": {"path": "t9"},
+    # a certificate of a kind that its theorem path does not take
+    "t1-with-filtering": {**_T1_PLAN, "certificate": {
+        "kind": "filtering", "k": 4, "ell": 3,
+        "triplets": [[4, 1, [2, 3]]]}},
+    "t2-with-repetitive": {**_T2_PLAN, "certificate": {
+        "kind": "repetitive", "k": 5, "ell": 2,
+        "triplets": [[2, 2, [1, 2]]]}},
+    "t3-with-multiplexing": {"certificate": {
+        "kind": "multiplexing", "k": 5, "ell": 2,
+        "triplets": [[2, 3, [2]]],
+        "permutations": [[1, 2, 3, 4, 5], [4, 2, 5, 1, 3]]}},
 }
 
 

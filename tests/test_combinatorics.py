@@ -1,5 +1,6 @@
 """Certificate validators and the permutation-matrix construction."""
 
+import json
 import random
 
 import pytest
@@ -158,7 +159,7 @@ def test_multiplexing_set_pairwise_failures():
 def test_filtering_set_nine_party_example():
     graph, ell, triplets = nine_party_filtering_instance()
     check = is_filtering_set(triplets, graph, ell)
-    assert check and check.is_ell_filtering
+    assert check, check.reason
     assert check.r_values == {1: 3, 7: 1}
 
 
@@ -179,8 +180,10 @@ def test_filtering_set_rejects_shared_recipients():
 def test_filtering_set_budget_r_of_s():
     graph = RestrictionGraph(9, frozenset())
     triplets = (FilteringTriplet(1, 2, (3, 4)), FilteringTriplet(1, 5, (6,)))
-    assert is_filtering_set(triplets, graph, 4).is_ell_filtering
-    assert not is_filtering_set(triplets, graph, 3).is_ell_filtering
+    assert is_filtering_set(triplets, graph, 4)
+    check = is_filtering_set(triplets, graph, 3)
+    assert not check and check.reason == "R(S) = 3 exceeds ell - 1 = 2"
+    assert check.r_values == {1: 3}
 
 
 def test_matrix_nine_party_example():
@@ -236,7 +239,7 @@ def test_matrix_pipeline_property(seed):
     rng = random.Random(seed)
     graph, ell, triplets = random_filtering_instance(rng)
     check = is_filtering_set(triplets, graph, ell)
-    assert check and check.is_ell_filtering
+    assert check, check.reason
     matrix = build_matrix_a(graph, ell, triplets)
     assert matrix.rows[0].is_identity()
     cert = filtering_to_multiplexing(triplets, matrix)
@@ -328,3 +331,60 @@ def test_certificate_rejects_unknown_kind():
     with pytest.raises(DomainError):
         certificate_from_json({"kind": "bogus", "k": 3, "ell": 2,
                                "triplets": []})
+
+
+# one certificate of each kind and its file, pinned byte for byte
+_FORWARDING_PERMS = (Permutation((1, 2, 3, 4)), Permutation((2, 3, 1, 4)),
+                     Permutation((3, 1, 2, 4)))
+PINNED_CERTIFICATES = {
+    "filtering": (
+        (9, 4, (FilteringTriplet(1, 2, (4, 3)), FilteringTriplet(1, 5, (6,)),
+                FilteringTriplet(7, 8, (9,))), None),
+        '{"kind": "filtering", "k": 9, "ell": 4, "triplets": '
+        '[[1, 2, [4, 3]], [1, 5, [6]], [7, 8, [9]]]}'),
+    "multiplexing": (
+        (4, 3, (MultiplexTriplet(4, 1, frozenset({3, 2})),),
+         _FORWARDING_PERMS),
+        '{"kind": "multiplexing", "k": 4, "ell": 3, "triplets": '
+        '[[4, 1, [2, 3]]], "permutations": [[1, 2, 3, 4], [2, 3, 1, 4], '
+        '[3, 1, 2, 4]]}'),
+    "repetitive": (
+        (5, 2, (BindingTriplet(2, 2, frozenset({2, 1})),), _chain_perms()),
+        '{"kind": "repetitive", "k": 5, "ell": 2, "triplets": '
+        '[[2, 2, [1, 2]]], "permutations": [[1, 2, 3, 4, 5], '
+        '[4, 2, 5, 1, 3]]}'),
+}
+
+
+@pytest.mark.parametrize("kind", list(PINNED_CERTIFICATES))
+def test_certificate_json_is_pinned_and_round_trips(kind):
+    """Sets are written sorted and B in its order; reading the file back
+    gives the certificate."""
+    (k, ell, triplets, perms), pinned = PINNED_CERTIFICATES[kind]
+    data = certificate_to_json(kind, k, ell, triplets, perms)
+    assert json.dumps(data) == pinned
+    assert certificate_from_json(data) == (kind, k, ell, triplets, perms)
+
+
+@pytest.mark.parametrize("kind", list(PINNED_CERTIFICATES))
+def test_every_validator_rejects_another_kind(kind):
+    """A triplet of another kind is a DomainError naming both classes, not
+    an AttributeError from the first field it lacks."""
+    perms = (Permutation.identity(5), Permutation((2, 1, 3, 4, 5)))
+    graph = RestrictionGraph(5, frozenset())
+    for other, ((_, _, (wrong, *_), _), _) in PINNED_CERTIFICATES.items():
+        if other == kind:
+            continue
+        checks = {
+            "filtering": [lambda: is_filtering_set((wrong,), graph, 2)],
+            "multiplexing": [
+                lambda: is_multiplexing_set((wrong,), perms, graph),
+                lambda: is_good_triplet(wrong, perms, graph)],
+            "repetitive": [lambda: is_repetitive_set((wrong,), perms),
+                           lambda: is_binding_triplet(wrong, perms)],
+        }[kind] + [lambda: certificate_to_json(kind, 5, 2, (wrong,), perms)]
+        for check in checks:
+            with pytest.raises(DomainError, match=(
+                    rf"^a {kind} certificate holds \w+s, "
+                    rf"not {type(wrong).__name__}$")):
+                check()

@@ -7,9 +7,10 @@ import pytest
 
 from nofmux import (
     BindingTriplet, BudgetError, CertificateError, CommPattern,
-    CompilationPlan, DEFAULT_BUDGET, DomainError, InputMatrix, LegalityError,
-    Model, MultiplexTriplet, NofmuxError, ObliviousnessError, Outgoing,
-    Permutation, ProtocolSpec, RobustnessError, SoundnessError, TruthTable,
+    CompilationPlan, DEFAULT_BUDGET, DomainError, FilteringTriplet,
+    InputMatrix, LegalityError, Model, MultiplexTriplet, NofmuxError,
+    ObliviousnessError, Outgoing, Permutation, ProtocolSpec, RobustnessError,
+    SoundnessError, TruthTable,
     check_pattern_robust, compile_symmetric, enumerate_inputs,
     eq_multi_protocol,
     example3_filtering_triplets, example3_graph, example3_protocol,
@@ -607,3 +608,20 @@ def test_predicted_bound_rejects_unknown_path():
     with pytest.raises(DomainError):
         CompilationPlan("t9", 1, (Permutation.identity(2),),
                         (example3_protocol(5, 1),), ())
+
+
+@pytest.mark.parametrize("path", ["t1", "t2", "t3", "c2"])
+def test_plan_rejects_another_certificate_kind(path):
+    """t1 and t2 plans hold multiplexing triplets (a t2 plan the set
+    converted from its filtering set), t3 and c2 plans binding triplets;
+    any other kind is a DomainError before a combiner or a bound reads it."""
+    fwd, _ = forwarding_pipeline_plan(n=1)
+    chain = chained_equality_plan()
+    plan = fwd if path in ("t1", "t2") else chain
+    wrong = chain.certificate if plan is fwd else fwd.certificate
+    with pytest.raises(DomainError, match="certificate holds"):
+        CompilationPlan(path, plan.ell, plan.perms, plan.protocols, wrong,
+                        plan.graph)
+    with pytest.raises(DomainError, match="certificate holds"):
+        CompilationPlan(path, plan.ell, plan.perms, plan.protocols,
+                        (FilteringTriplet(1, 2, (3,)),), plan.graph)

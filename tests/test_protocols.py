@@ -114,7 +114,7 @@ def test_sparse_equality_filtering_set():
         triplets = example3_filtering_triplets(k)
         assert triplets[0].B == tuple(range(4, k, 2))
         check = is_filtering_set(triplets, example3_graph(k), (k - 1) // 2)
-        assert check and check.is_ell_filtering
+        assert check
 
 
 # ---------------------------------------------------------------------------

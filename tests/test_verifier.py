@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nofmux import (
-    BOARD, DEFAULT_BUDGET, BudgetError, CommPattern, DomainError, InputMatrix,
-    LegalityError, Model, NofmuxError, ObliviousnessError, Outgoing,
-    Permutation, ProtocolSpec, RestrictionGraph, TruthTable, bits_to_int,
-    board_outputs, check_prefix_free, check_view_legality, compile_symmetric,
-    domain_size, enumerate_inputs, eq_two_bit_protocol,
-    example3_filtering_triplets, example3_graph, example3_protocol,
-    exhaustive_verify, is_prefix_free, lemma1_protocol, measure_cost,
-    messages_at_position, myopic_eq_chain, oracle_evaluate,
+    BOARD, DEFAULT_BUDGET, BudgetError, CommPattern, CompilationPlan,
+    DomainError, InputMatrix, LegalityError, Model, NofmuxError,
+    ObliviousnessError, Outgoing, Permutation, ProtocolSpec,
+    RestrictionGraph, TruthTable, bits_to_int, board_outputs,
+    check_prefix_free, check_view_legality, compile_symmetric, domain_size,
+    enumerate_inputs, eq_two_bit_protocol, example3_filtering_triplets,
+    example3_graph, example3_protocol, exhaustive_verify, is_prefix_free,
+    lemma1_protocol, measure_cost, messages_at_position, multiplex_combine,
+    myopic_eq_chain, oracle_evaluate,
     random_truth_table, run_protocol, sampled_verify,
 )
 from nofmux.verifier import _rounds_of
@@ -205,6 +206,49 @@ def test_splitting_a_message_into_records_is_illegal(model, to, heard,
     with pytest.raises(LegalityError, match=f"^party 1 sends two messages "
                        f"{channel} in round 1$"):
         exhaustive_verify(spec, _X3)
+
+
+_X2_OR_X3 = TruthTable.from_function(
+    3, 1, lambda args: int(args[1] if args[0] == "1" else args[2]))
+
+
+def _framed(frame):
+    """f = x_2 if x_1 = 1 else x_3 on k=3, n=1: party 1 sees x_2 and x_3
+    but not x_1, so party 3, which sees only x_1, needs both bits.  Party 1
+    sends one bit and ``frame(x_2 x_3)`` as the message's framing, which
+    party 3 decodes; counted by its bits alone it would be correct at 1."""
+    graph = RestrictionGraph(3, frozenset({(1, 2), (1, 3), (3, 1)}))
+
+    def next_message(p, t, views, inbox, board):
+        return ([Outgoing(3, "0", **frame(views[1][2] + views[1][3]))]
+                if p == 1 else [])
+
+    def output_rule(views, inbox, board):
+        (r,) = inbox
+        pair = r.tag if r.tag is not None else format(r.protocol, "02b")
+        return {1: int(pair[0] if views[1][1] == "1" else pair[1])}
+
+    return ProtocolSpec(
+        name="framed", model=Model.NOF_GRAPH, k=3, n=1, ell=1, rounds=1,
+        next_message=next_message, output_party=3, output_rule=output_rule,
+        graph=graph, pattern=CommPattern({(1, 1, 3): 1}, 1))
+
+
+@pytest.mark.parametrize("frame", [
+    lambda pair: {"tag": pair}, lambda pair: {"protocol": int(pair, 2)},
+], ids=["tag", "protocol"])
+@pytest.mark.parametrize("compiled", [False, True],
+                         ids=["uncompiled", "t1-instance"])
+def test_a_point_to_point_message_carries_no_framing(frame, compiled):
+    """A point-to-point message framed by a tag or a protocol index raises
+    LegalityError, alone and as the instance protocol of a t1 plan."""
+    spec = _framed(frame)
+    if compiled:
+        spec = multiplex_combine(CompilationPlan(
+            "t1", 1, (Permutation.identity(3),), (spec,), (), spec.graph))
+    with pytest.raises(LegalityError, match="^a point-to-point message "
+                                            "carries no protocol or tag$"):
+        exhaustive_verify(spec, _X2_OR_X3)
 
 
 # ---------------------------------------------------------------------------
