@@ -47,7 +47,9 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise DomainError(f"file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, or a file without read access
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DomainError(f"malformed JSON in {path}: {exc}") from None
 
 
@@ -150,8 +152,11 @@ def _load_plan(path: str, budget: int):
 
 def _write_json(path: str | None, data) -> None:
     if path:
-        with open(path, "w") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
+        try:
+            with open(path, "w") as fh:
+                json.dump(data, fh, indent=2, sort_keys=True)
+        except OSError as exc:
+            raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .core import (
     board_outputs, check_symmetry, xor_bits,
     run_protocol,  # not called here: bench/tracing.py patches it as a span
 )
-from .verifier import (_position_sweep, check_prefix_free, exhaustive_verify,
+from .verifier import (_exhaustive, _position_sweep, check_prefix_free,
                        messages_at_position)
 
 
@@ -391,10 +391,12 @@ def compile_symmetric(spec: ProtocolSpec, f: TruthTable,
     if spec.model is not Model.NOF_GRAPH or spec.ell != 1:
         raise DomainError("base protocol must be single-instance "
                           "point-to-point")
-    report = exhaustive_verify(spec, f, budget=budget)
-    if not report.correct:
+    # every input runs fresh against the oracle; the runs are kept for
+    # the naive baseline's cost sweep of the same base protocol
+    wrong = _exhaustive(spec, f, budget, keep=True).counterexample
+    if wrong is not None:
         raise DomainError(f"base protocol disagrees with f at input index "
-                          f"{report.counterexample.input_index}")
+                          f"{wrong.input_index}")
     matrix = build_matrix_a(graph, ell, triplets)
     protos = tuple(
         spec if row.is_identity() else permute_protocol(spec, row)

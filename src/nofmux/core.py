@@ -710,12 +710,16 @@ def check_symmetry(f: TruthTable, pi: Sequence[int] | None = None) -> bool:
             for i in range(f.k - 1))
     if sorted(pi) != list(range(1, f.k + 1)):
         raise DomainError(f"{pi} is not a permutation of [1,{f.k}]")
-    words = ["".join(b) for b in itertools.product("01", repeat=f.n)]
-    for args in itertools.product(words, repeat=f.k):
-        permuted = tuple(args[pi[i] - 1] for i in range(f.k))
-        if f.evaluate(args) != f.evaluate(permuted):
-            return False
-    return True
+    # moved[v]: the index of v's argument tuple permuted by pi, built one
+    # n-bit field of v at a time, MSB first; v's field j becomes field i
+    # where pi[i] = j (fields counted from 1)
+    to_field = {j: i for i, j in enumerate(pi, start=1)}
+    moved = [0]
+    for j in range(1, f.k + 1):
+        shift = f.n * (f.k - to_field[j])
+        moved = [w | (b << shift) for w in moved for b in range(1 << f.n)]
+    values = f.values
+    return all(values[w] == bit for w, bit in zip(moved, values))
 
 
 def board_outputs(board: Sequence[MessageRecord], ell: int) -> dict[int, int]:

@@ -145,7 +145,8 @@ _TABLE_CAP = 1 << 16
 class _Runs:
     """One protocol's runs by input index, shared by ``measure_cost``, the
     position sweep and ``check_view_legality``, so that an input runs once
-    across them, whichever asks first.
+    across them, whichever asks first; ``compile_symmetric``'s check of its
+    base protocol fills it too.
 
     ``get(idx)`` is the records of input ``idx``'s transcript, interned by
     value, or None until it runs.  Outputs are not kept: equal records can
@@ -295,16 +296,39 @@ def exhaustive_verify(spec: ProtocolSpec, f: TruthTable,
     ``partitions`` splits the domain into contiguous ranges merged
     associatively; the result is independent of the partition count.
     """
+    return _exhaustive(spec, f, budget, partitions).report(
+        spec, predicted_bound, naive_baseline, exhaustive=True)
+
+
+def _exhaustive(spec: ProtocolSpec, f: TruthTable, budget: int,
+                partitions: int = 1, keep: bool = False) -> _Partial:
+    """``exhaustive_verify``'s sweep, stopping at the first counterexample.
+    Every input runs fresh and is checked against the oracle.  With
+    ``keep``, each run's records also go to the spec's table of runs, so a
+    base protocol checked at compile time is not run again by
+    ``measure_cost`` or the position sweep."""
     if f.k != spec.k or f.n != spec.n:
         raise DomainError("truth table shape does not match the protocol")
     domain = _domain(spec, budget)
+    runs = _runs(spec) if keep else None
     step = -(-len(domain) // max(partitions, 1))
     total = _Partial()
     for lo in range(0, len(domain), step):
-        total.merge(verify_range(f, sweep(spec, domain[lo:lo + step])))
+        swept = sweep(spec, domain[lo:lo + step])
+        if runs is not None:
+            swept = _kept(runs, swept)
+        total.merge(verify_range(f, swept))
         if total.counterexample is not None:
             break
-    return total.report(spec, predicted_bound, naive_baseline, exhaustive=True)
+    return total
+
+
+def _kept(runs: _Runs, swept: Iterable[tuple[InputMatrix, Transcript]]
+          ) -> Iterator[tuple[InputMatrix, Transcript]]:
+    """``swept`` with each run's records stored in ``runs`` as it passes."""
+    for x, t in swept:
+        runs.keep(x.index, t.records)
+        yield x, t
 
 
 def sampled_verify(spec: ProtocolSpec, f: TruthTable, samples: int, seed: int,

@@ -188,6 +188,25 @@ def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 2
 
 
+def test_directory_input_is_usage_error(tmp_path, capsys):
+    _one_line_usage_error(["validate", str(tmp_path)], capsys)
+
+
+def test_undecodable_input_is_usage_error(tmp_path, capsys):
+    binary = tmp_path / "cert.json"
+    binary.write_bytes(b"\xff\xfe{")
+    _one_line_usage_error(["validate", str(binary)], capsys)
+
+
+def test_unwritable_out_is_usage_error(nine_party_files, tmp_path, capsys):
+    """The matrix is printed, then the failed write is one error line."""
+    cert, graph = nine_party_files
+    out = tmp_path / "missing" / "m.json"
+    printed = _one_line_usage_error(
+        ["matrix", cert, "--graph", graph, "--out", str(out)], capsys)
+    assert printed and not out.exists()
+
+
 def test_artifacts_are_deterministic(equality_pipeline_plan, tmp_path,
                                      capsys):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

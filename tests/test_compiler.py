@@ -234,7 +234,8 @@ def test_symmetric_pipeline_rejects_asymmetric_function():
 
 def test_symmetric_pipeline_rejects_wrong_base_protocol():
     f = TruthTable.constant(5, 1, 0)  # symmetric but not what Q computes
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^base protocol disagrees with f "
+                                          r"at input index 0$"):
         compile_symmetric(example3_protocol(5, 1), f, example3_graph(5),
                           example3_filtering_triplets(5), ell=2)
 

@@ -1,6 +1,8 @@
 """Core model tests: bits, inputs, graphs, views, execution, cost."""
 
 import dataclasses
+import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +12,8 @@ from nofmux import (
     Model, ObliviousnessError, Outgoing, ProtocolSpec, RestrictionGraph,
     TruthTable, View, bits_to_int, board_outputs, check_replay_determinism,
     check_symmetry, compute_view, domain_size, enumerate_inputs,
-    eq_two_bit_protocol, int_to_bits, measure_cost, run_protocol, xor_bits,
+    eq_two_bit_protocol, int_to_bits, measure_cost, random_truth_table,
+    run_protocol, xor_bits,
 )
 from nofmux import core
 from nofmux.core import MessageRecord, _record
@@ -288,6 +291,58 @@ def test_check_symmetry():
     assert not check_symmetry(f)
     assert check_symmetry(f, [1, 2])
     assert not check_symmetry(f, [2, 1])
+
+
+def _symmetric_by_brute_force(f, pi):
+    """The reference: f on every argument tuple, as given and permuted by
+    pi; ``None`` tries every permutation of [k]."""
+    if pi is None:
+        return all(_symmetric_by_brute_force(f, sigma) for sigma in
+                   itertools.permutations(range(1, f.k + 1)))
+    words = ["".join(b) for b in itertools.product("01", repeat=f.n)]
+    for args in itertools.product(words, repeat=f.k):
+        permuted = tuple(args[pi[i] - 1] for i in range(f.k))
+        if f.evaluate(args) != f.evaluate(permuted):
+            return False
+    return True
+
+
+def _symmetry_tables(k, n):
+    """eq, both constants, a threshold function, seeded random tables, and
+    seeded tables symmetric in a random block of parties only."""
+    yield TruthTable.eq(k, n)
+    yield TruthTable.constant(k, n, 0)
+    yield TruthTable.constant(k, n, 1)
+    yield TruthTable.from_function(
+        k, n, lambda a: int(sum(w.count("1") for w in a) >= k))
+    for seed in range(3):
+        yield random_truth_table(k, n, seed)
+        rng = random.Random(seed)
+        block = sorted(rng.sample(range(k), rng.randint(min(k, 2), k)))
+        chosen = {}
+
+        def fn(args):
+            args = list(args)
+            for i, w in zip(block, sorted(args[i] for i in block)):
+                args[i] = w
+            return chosen.setdefault(tuple(args), rng.randrange(2))
+        yield TruthTable.from_function(k, n, fn)
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for k in range(1, 5)
+                                  for n in (1, 2)])
+def test_check_symmetry_agrees_with_brute_force(k, n):
+    perms = [None] + [list(p) for p in
+                      itertools.permutations(range(1, k + 1))]
+    for f in _symmetry_tables(k, n):
+        for pi in perms:
+            assert check_symmetry(f, pi) == _symmetric_by_brute_force(f, pi)
+
+
+@pytest.mark.parametrize("pi", [[1, 1, 3], [1, 2], [0, 1, 2], [1, 2, 3, 4]])
+def test_check_symmetry_rejects_non_permutation(pi):
+    with pytest.raises(DomainError, match=r"is not a permutation of \[1,3\]"):
+        check_symmetry(TruthTable.eq(3, 1), pi)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from nofmux import (
     BindingTriplet, NofmuxError, Outgoing, Permutation, TruthTable,
     check_view_legality, compile_symmetric, domain_size,
     example3_filtering_triplets, example3_graph, example3_protocol,
-    multiplex_combine, myopic_combine, myopic_eq_chain, oracle_evaluate,
-    xor_bits,
+    exhaustive_verify, multiplex_combine, myopic_combine, myopic_eq_chain,
+    oracle_evaluate, xor_bits,
 )
 from nofmux.acceptance import chained_equality_plan, forwarding_pipeline_plan
 from nofmux.core import _record
@@ -283,3 +283,27 @@ def test_mutation_is_caught(mutation, plan, declared, monkeypatch):
     monkeypatch.undo()
     honest = p.compile(p.protocols)
     assert _first_catch(honest, p.f, domain[:catch[0] + 1]) is None
+
+
+def test_instance_rule_results_are_never_reused():
+    """A fault switched on in instance 2's rule after one passing
+    ``exhaustive_verify`` of the compiled spec fails the next one: the
+    engine asks the instance rules afresh on every input of every call."""
+    p = _plan("t2-equality")
+    q, live = p.protocols[1], []
+
+    def next_message(party, t, views, inbox, board):
+        outs = q.next_message(party, t, views, inbox, board)
+        return [o._replace(payload=_mask(o.payload, "1")) for o in outs] \
+            if live else outs
+
+    protos = (p.protocols[0],
+              dataclasses.replace(q, next_message=next_message))
+    spec = p.compile(protos)
+    assert exhaustive_verify(spec, p.f).correct
+    live.append(True)
+    try:
+        report = exhaustive_verify(spec, p.f)
+    except NofmuxError:
+        return
+    assert not report.correct

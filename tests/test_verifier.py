@@ -19,6 +19,7 @@ from nofmux import (
     myopic_eq_chain, oracle_evaluate,
     random_truth_table, run_protocol, sampled_verify,
 )
+from nofmux import acceptance
 from nofmux.verifier import _rounds_of
 from test_protocols import _small_builtins
 
@@ -657,3 +658,39 @@ def test_verification_sweeps_keep_no_run_table(verifier_runs):
     sampled_verify(spec, f, samples=8, seed=0)
     assert len(verifier_runs) == 2 * domain_size(5, 1, 2) + 8
     assert "runs" not in spec._memo
+
+
+def test_symmetric_compile_and_naive_baseline_run_each_base_input_once(
+        verifier_runs):
+    """compile_symmetric checks its base protocol on every input and keeps
+    the runs; the naive baseline's cost sweep of the same base reads them
+    instead of running the inputs again."""
+    base = example3_protocol(5, 1)
+    spec, plan, _ = compile_symmetric(
+        base, TruthTable.eq(5, 1), example3_graph(5),
+        example3_filtering_triplets(5), ell=2)
+    assert plan.protocols[0] is base
+    assert acceptance.naive_baseline(plan, DEFAULT_BUDGET) == 2 * (1 + 1)
+    assert sorted(verifier_runs) == list(range(2 ** 5))
+    assert "runs" not in spec._memo
+
+
+def test_symmetric_compile_checks_every_base_input_fresh(verifier_runs):
+    """A base protocol whose runs are already kept is still run and checked
+    on every input: a fault switched on after one compile fails the next."""
+    faulty = {"on": False}
+    honest = example3_protocol(5, 1)
+
+    def output_rule(views, inbox, board):
+        out = honest.output_rule(views, inbox, board)
+        return {1: out[1] ^ 1} if faulty["on"] else out
+
+    base = dataclasses.replace(honest, output_rule=output_rule)
+    args = (TruthTable.eq(5, 1), example3_graph(5),
+            example3_filtering_triplets(5), 2)
+    compile_symmetric(base, *args)
+    faulty["on"] = True
+    with pytest.raises(DomainError, match=r"^base protocol disagrees with f "
+                                          r"at input index 0$"):
+        compile_symmetric(base, *args)
+    assert len(verifier_runs) == 2 ** 5 + 1
