@@ -42,6 +42,8 @@ _BUILTIN_GRAPHS = {"complete": RestrictionGraph.complete,
 # ---------------------------------------------------------------------------
 
 def _load_json(path: str):
+    if not isinstance(path, str):  # open() would take an int as an fd
+        raise DomainError(f"file path must be a string, not {path!r}")
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -83,6 +85,8 @@ def _resolve_graph(source, k: int) -> RestrictionGraph:
 
 
 def _resolve_function(desc: Mapping, k: int, n: int) -> TruthTable:
+    if not isinstance(desc, Mapping):
+        raise DomainError("the plan's function must be a JSON object")
     kind = desc.get("kind", "eq")
     if kind == "eq":
         return TruthTable.eq(k, n)
@@ -91,7 +95,11 @@ def _resolve_function(desc: Mapping, k: int, n: int) -> TruthTable:
     if kind == "random":
         return random_truth_table(k, n, int(desc["seed"]))
     if kind == "file":
-        return TruthTable.from_json(_load_json(desc["path"]))
+        f = TruthTable.from_json(_load_json(desc["path"]))
+        if (f.k, f.n) != (k, n):
+            raise DomainError(f"function file has k={f.k}, n={f.n}; the "
+                              f"plan has k={k}, n={n}")
+        return f
     raise DomainError(f"unknown function kind {kind!r}")
 
 
@@ -115,6 +123,8 @@ def _load_plan(path: str, budget: int):
     data = _load_json(path)
     with _fields_of("plan"):
         theorem_path = data["path"]
+        if theorem_path not in CompilationPlan.PATHS:
+            raise DomainError(f"unknown theorem path {theorem_path!r}")
         k, n, ell = int(data["k"]), int(data["n"]), int(data["ell"])
         f = _resolve_function(data.get("function", {}), k, n)
         _, cert_k, cert_ell, triplets, cert_perms = _resolve_certificate(

@@ -29,8 +29,8 @@ from .core import (
     board_outputs, check_symmetry, xor_bits,
     run_protocol,  # not called here: bench/tracing.py patches it as a span
 )
-from .verifier import (_exhaustive, _position_sweep, check_prefix_free,
-                       messages_at_position)
+from .verifier import (_domain, _oracle_sweep, _position_sweep, _runs,
+                       check_prefix_free, messages_at_position)
 
 
 class Bound(NamedTuple):
@@ -53,9 +53,10 @@ class CompilationPlan:
     protocols: tuple[ProtocolSpec, ...]
     certificate: tuple
     graph: RestrictionGraph | None = None
+    PATHS = ("t1", "t2", "t3", "c2")  # a class attribute, not a field
 
     def __post_init__(self) -> None:
-        if self.path not in ("t1", "t2", "t3", "c2"):
+        if self.path not in self.PATHS:
             raise DomainError(f"unknown theorem path {self.path!r}")
         if not (len(self.perms) == len(self.protocols) == self.ell > 0):
             raise DomainError("plan needs one permutation and one protocol "
@@ -363,6 +364,10 @@ def multiplex_combine(plan: CompilationPlan) -> ProtocolSpec:
                               "point-to-point protocol")
         if (q.k, q.n, q.rounds) != (k, n, rounds):
             raise DomainError(f"protocol {u} disagrees on shape")
+        # the certificate below is checked against plan.graph only
+        if q.graph != permute_graph(plan.graph, perms[u - 1]):
+            raise DomainError(f"protocol {u} does not run on the plan's "
+                              f"graph relabeled by {perms[u - 1].image}")
         if not check_pattern_robust(protos[0], q, perms[u - 1]):
             raise RobustnessError(
                 f"protocol {u} does not match the base pattern under "
@@ -393,7 +398,8 @@ def compile_symmetric(spec: ProtocolSpec, f: TruthTable,
                           "point-to-point")
     # every input runs fresh against the oracle; the runs are kept for
     # the naive baseline's cost sweep of the same base protocol
-    wrong = _exhaustive(spec, f, budget, keep=True).counterexample
+    wrong = _oracle_sweep(spec, f, lambda: _domain(spec, budget),
+                          _runs(spec)).counterexample
     if wrong is not None:
         raise DomainError(f"base protocol disagrees with f at input index "
                           f"{wrong.input_index}")

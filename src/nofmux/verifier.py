@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     BudgetError, DEFAULT_BUDGET, DomainError, InputMatrix, Model,
@@ -207,7 +207,7 @@ def _runs(spec: ProtocolSpec) -> _Runs | None:
 
 @dataclass
 class _Partial:
-    """Mergeable accumulation over a contiguous slice of the domain."""
+    """Costs and first counterexample accumulated over one sweep."""
     checked: int = 0
     worst: int = 0
     worst_payload: int = 0
@@ -222,26 +222,6 @@ class _Partial:
         self.worst_payload = max(self.worst_payload, payload)
         for key, bits in totals.items():
             self.channels[key] = max(self.channels.get(key, 0), bits)
-
-    def absorb(self, x: InputMatrix, t: Transcript,
-               expected: tuple[int, ...]) -> bool:
-        self.tally(t)
-        for inst in range(1, x.ell + 1):
-            if t.outputs[inst] != expected[inst - 1]:
-                self.counterexample = Counterexample(
-                    x.index, inst, t.outputs[inst], expected[inst - 1], x.rows)
-                return False
-        return True
-
-    def merge(self, other: "_Partial") -> "_Partial":
-        self.checked += other.checked
-        self.worst = max(self.worst, other.worst)
-        self.worst_payload = max(self.worst_payload, other.worst_payload)
-        for key, bits in other.channels.items():
-            self.channels[key] = max(self.channels.get(key, 0), bits)
-        if self.counterexample is None:
-            self.counterexample = other.counterexample
-        return self
 
     def report(self, spec: ProtocolSpec, predicted_bound: int | None,
                naive_baseline: int | None, exhaustive: bool
@@ -275,60 +255,13 @@ def measure_cost(spec: ProtocolSpec, budget: int = DEFAULT_BUDGET) -> CostReport
                       domain_size(spec.k, spec.n, spec.ell))
 
 
-def verify_range(f: TruthTable,
-                 runs: Iterable[tuple[InputMatrix, Transcript]]) -> _Partial:
-    """Check swept runs against the oracle; stops at the first
-    counterexample."""
-    part = _Partial()
-    for x, t in runs:
-        if not part.absorb(x, t, oracle_evaluate(f, x)):
-            break
-    return part
-
-
 def exhaustive_verify(spec: ProtocolSpec, f: TruthTable,
                       predicted_bound: int | None = None,
                       naive_baseline: int | None = None,
-                      budget: int = DEFAULT_BUDGET,
-                      partitions: int = 1) -> VerificationReport:
-    """Run the protocol on every input and compare against the oracle.
-
-    ``partitions`` splits the domain into contiguous ranges merged
-    associatively; the result is independent of the partition count.
-    """
-    return _exhaustive(spec, f, budget, partitions).report(
+                      budget: int = DEFAULT_BUDGET) -> VerificationReport:
+    """Run the protocol on every input and compare against the oracle."""
+    return _oracle_sweep(spec, f, lambda: _domain(spec, budget)).report(
         spec, predicted_bound, naive_baseline, exhaustive=True)
-
-
-def _exhaustive(spec: ProtocolSpec, f: TruthTable, budget: int,
-                partitions: int = 1, keep: bool = False) -> _Partial:
-    """``exhaustive_verify``'s sweep, stopping at the first counterexample.
-    Every input runs fresh and is checked against the oracle.  With
-    ``keep``, each run's records also go to the spec's table of runs, so a
-    base protocol checked at compile time is not run again by
-    ``measure_cost`` or the position sweep."""
-    if f.k != spec.k or f.n != spec.n:
-        raise DomainError("truth table shape does not match the protocol")
-    domain = _domain(spec, budget)
-    runs = _runs(spec) if keep else None
-    step = -(-len(domain) // max(partitions, 1))
-    total = _Partial()
-    for lo in range(0, len(domain), step):
-        swept = sweep(spec, domain[lo:lo + step])
-        if runs is not None:
-            swept = _kept(runs, swept)
-        total.merge(verify_range(f, swept))
-        if total.counterexample is not None:
-            break
-    return total
-
-
-def _kept(runs: _Runs, swept: Iterable[tuple[InputMatrix, Transcript]]
-          ) -> Iterator[tuple[InputMatrix, Transcript]]:
-    """``swept`` with each run's records stored in ``runs`` as it passes."""
-    for x, t in swept:
-        runs.keep(x.index, t.records)
-        yield x, t
 
 
 def sampled_verify(spec: ProtocolSpec, f: TruthTable, samples: int, seed: int,
@@ -337,9 +270,31 @@ def sampled_verify(spec: ProtocolSpec, f: TruthTable, samples: int, seed: int,
     """Seeded random sampling; the report is labeled non-exhaustive."""
     rng = random.Random(seed)
     size = domain_size(spec.k, spec.n, spec.ell)
-    indices = [rng.randrange(size) for _ in range(samples)]
-    part = verify_range(f, sweep(spec, indices))
+    part = _oracle_sweep(
+        spec, f, lambda: [rng.randrange(size) for _ in range(samples)])
     return part.report(spec, predicted_bound, naive_baseline, exhaustive=False)
+
+
+def _oracle_sweep(spec: ProtocolSpec, f: TruthTable,
+                  indices: Callable[[], Iterable[int]],
+                  runs: _Runs | None = None) -> _Partial:
+    """The one oracle loop: after the shape check, so before ``_domain``'s
+    BudgetError, run each index of ``indices()`` fresh, storing its records
+    in ``runs`` if given, and compare it with the oracle up to the first
+    counterexample."""
+    if f.k != spec.k or f.n != spec.n:
+        raise DomainError("truth table shape does not match the protocol")
+    part = _Partial()
+    for x, t in sweep(spec, indices()):
+        if runs is not None:
+            runs.keep(x.index, t.records)
+        part.tally(t)
+        for inst, want in enumerate(oracle_evaluate(f, x), start=1):
+            if t.outputs[inst] != want:
+                part.counterexample = Counterexample(
+                    x.index, inst, t.outputs[inst], want, x.rows)
+                return part
+    return part
 
 
 class _Positions(NamedTuple):

@@ -215,17 +215,19 @@ def test_artifacts_are_deterministic(equality_pipeline_plan, tmp_path,
     assert out1.read_text() == out2.read_text()
 
 
-def _one_line_usage_error(argv, capsys):
+def _one_line_usage_error(argv, capsys, error=None):
+    """Exit 2 with one ``error:`` line, ``error: <error>`` when given."""
     assert main(argv) == 2
     out, err = capsys.readouterr()
     err = err.strip()
     assert err.startswith("error:") and "\n" not in err, err
+    assert error is None or err == f"error: {error}", err
     return out
 
 
 def test_plan_without_k_is_usage_error(equality_pipeline_plan, tmp_path,
                                        capsys):
-    data = json.loads(open(equality_pipeline_plan).read())
+    data = json.loads(Path(equality_pipeline_plan).read_text())
     del data["k"]
     plan = tmp_path / "no_k.json"
     plan.write_text(json.dumps(data))
@@ -341,29 +343,49 @@ _T2_PLAN = {
     "protocol": {"family": "example3"},
     "graph": {"builtin": "example3", "k": 5},
 }
+# override of the t3 plan -> the pinned error, or None
 PLAN_ERRORS = {
-    "permutation-count": {"permutations": [[1, 2, 3, 4, 5]]},
-    "unknown-theorem-path": {"path": "t9"},
+    "permutation-count": ({"permutations": [[1, 2, 3, 4, 5]]}, None),
+    "unknown-theorem-path": ({"path": "t9"}, None),
+    # checked before the certificate, which has no permutations here
+    "unknown-theorem-path-first": (
+        {"path": "t9", "certificate": {"kind": "filtering", "k": 5,
+                                       "ell": 2, "triplets": []}},
+        "unknown theorem path 't9'"),
+    "null-function": ({"function": None},
+                      "the plan's function must be a JSON object"),
+    "list-function": ({"function": []},
+                      "the plan's function must be a JSON object"),
+    # open(0) would read standard input
+    "function-path-not-a-string": (
+        {"function": {"kind": "file", "path": 0}},
+        "file path must be a string, not 0"),
+    "function-of-other-shape": (
+        {"function": {"kind": "file", "path": "k4.json"}},
+        "function file has k=4, n=1; the plan has k=5, n=1"),
     # a certificate of a kind that its theorem path does not take
-    "t1-with-filtering": {**_T1_PLAN, "certificate": {
+    "t1-with-filtering": ({**_T1_PLAN, "certificate": {
         "kind": "filtering", "k": 4, "ell": 3,
-        "triplets": [[4, 1, [2, 3]]]}},
-    "t2-with-repetitive": {**_T2_PLAN, "certificate": {
+        "triplets": [[4, 1, [2, 3]]]}}, None),
+    "t2-with-repetitive": ({**_T2_PLAN, "certificate": {
         "kind": "repetitive", "k": 5, "ell": 2,
-        "triplets": [[2, 2, [1, 2]]]}},
-    "t3-with-multiplexing": {"certificate": {
+        "triplets": [[2, 2, [1, 2]]]}}, None),
+    "t3-with-multiplexing": ({"certificate": {
         "kind": "multiplexing", "k": 5, "ell": 2,
         "triplets": [[2, 3, [2]]],
-        "permutations": [[1, 2, 3, 4, 5], [4, 2, 5, 1, 3]]}},
+        "permutations": [[1, 2, 3, 4, 5], [4, 2, 5, 1, 3]]}}, None),
 }
 
 
-@pytest.mark.parametrize("override", PLAN_ERRORS.values(),
+@pytest.mark.parametrize("override,error", PLAN_ERRORS.values(),
                          ids=list(PLAN_ERRORS))
-def test_malformed_plan_is_usage_error(override, tmp_path, capsys):
-    plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps({**_T3_PLAN, **override}))
-    _one_line_usage_error(["verify", str(plan)], capsys)
+def test_malformed_plan_is_usage_error(override, error, tmp_path, capsys,
+                                       monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative function file paths
+    Path("k4.json").write_text(json.dumps(
+        {"k": 4, "n": 1, "values": [0] * 16}))
+    Path("plan.json").write_text(json.dumps({**_T3_PLAN, **override}))
+    _one_line_usage_error(["verify", "plan.json"], capsys, error)
 
 
 def test_demo_prints_each_criterion_and_fails_on_any(monkeypatch, capsys):

@@ -9,8 +9,8 @@ from nofmux import (
     BindingTriplet, BudgetError, CertificateError, CommPattern,
     CompilationPlan, DEFAULT_BUDGET, DomainError, FilteringTriplet,
     InputMatrix, LegalityError, Model, MultiplexTriplet, NofmuxError,
-    ObliviousnessError, Outgoing, Permutation, ProtocolSpec, RobustnessError,
-    SoundnessError, TruthTable,
+    ObliviousnessError, Outgoing, Permutation, ProtocolSpec, RestrictionGraph,
+    RobustnessError, SoundnessError, TruthTable,
     check_pattern_robust, compile_symmetric, enumerate_inputs,
     eq_multi_protocol,
     example3_filtering_triplets, example3_graph, example3_protocol,
@@ -185,6 +185,26 @@ def test_combiner_rejects_invalid_certificate():
         multiplex_combine(bad)
 
 
+def test_combiner_rejects_protocols_off_the_plan_graph():
+    """The certificate is checked against plan.graph, so protocol u must run
+    on plan.graph relabeled by pi_u; else a valid certificate could fail at
+    run time."""
+    plan, _ = forwarding_pipeline_plan(n=1)
+    empty = CompilationPlan(plan.path, plan.ell, plan.perms, plan.protocols,
+                            plan.certificate, RestrictionGraph(4, frozenset()))
+    with pytest.raises(DomainError, match=r"^protocol 1 does not run on the "
+                                          r"plan's graph relabeled by"):
+        multiplex_combine(empty)
+    second = dataclasses.replace(plan.protocols[1],
+                                 graph=plan.protocols[0].graph)
+    assert second.graph != plan.protocols[1].graph
+    swapped = CompilationPlan(plan.path, plan.ell, plan.perms,
+                              (plan.protocols[0], second) + plan.protocols[2:],
+                              plan.certificate, plan.graph)
+    with pytest.raises(DomainError, match=r"^protocol 2 does not run on"):
+        multiplex_combine(swapped)
+
+
 def test_empty_certificate_costs_ell_copies_plus_outputs():
     plan, f = forwarding_pipeline_plan(n=1)
     plain = CompilationPlan(plan.path, plan.ell, plan.perms, plan.protocols,
@@ -246,6 +266,14 @@ def test_symmetric_pipeline_empty_filtering_set():
         example3_protocol(5, 1), f, example3_graph(5), (), ell=2)
     assert predicted_bound(plan).total == 2 * 1 + 2
     assert exhaustive_verify(compiled, f).correct
+
+
+def test_symmetric_pipeline_rejects_graph_the_base_does_not_run_on():
+    """Caught at compile time, before any run raises SoundnessError."""
+    with pytest.raises(DomainError, match=r"^protocol 1 does not run on"):
+        compile_symmetric(example3_protocol(5, 1), TruthTable.eq(5, 1),
+                          RestrictionGraph(5, frozenset()),
+                          (FilteringTriplet(5, 2, (1, 3, 4)),), ell=4)
 
 
 @pytest.mark.slow

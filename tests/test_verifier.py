@@ -119,13 +119,20 @@ def test_exhaustive_verify_budget():
         exhaustive_verify(lemma1_protocol(f), f, budget=100)
 
 
-@pytest.mark.parametrize("partitions", [1, 3, 7, 16])
-def test_partitioned_verification_is_invariant(partitions):
-    f = TruthTable.eq(4, 1)
-    report = exhaustive_verify(eq_two_bit_protocol(4, 1), f,
-                               partitions=partitions)
-    baseline = exhaustive_verify(eq_two_bit_protocol(4, 1), f)
-    assert report.to_json() == baseline.to_json()
+def test_exhaustive_verify_checks_shape_before_budget():
+    with pytest.raises(DomainError, match=r"^truth table shape does not "
+                                          r"match the protocol$"):
+        exhaustive_verify(eq_two_bit_protocol(4, 1), TruthTable.eq(3, 1),
+                          budget=1)
+
+
+@pytest.mark.parametrize("samples", [0, 8])
+def test_sampled_verify_checks_shape(samples):
+    """Even a sample of no inputs rejects a table of another shape."""
+    with pytest.raises(DomainError, match=r"^truth table shape does not "
+                                          r"match the protocol$"):
+        sampled_verify(eq_two_bit_protocol(4, 1), TruthTable.eq(3, 1),
+                       samples=samples, seed=0)
 
 
 def test_sampled_verify_is_labeled():
