@@ -26,8 +26,8 @@ from .compiler import (
     predicted_bound,
 )
 from .core import (
-    DEFAULT_BUDGET, DomainError, NofmuxError, ProtocolSpec, RestrictionGraph,
-    TruthTable,
+    BudgetError, DEFAULT_BUDGET, DomainError, NofmuxError, ProtocolSpec,
+    RestrictionGraph, TruthTable,
 )
 from .protocols import FAMILIES, example1_graph, example3_graph
 from .verifier import exhaustive_verify, random_truth_table
@@ -126,7 +126,10 @@ def _load_plan(path: str, budget: int):
         if theorem_path not in CompilationPlan.PATHS:
             raise DomainError(f"unknown theorem path {theorem_path!r}")
         k, n, ell = int(data["k"]), int(data["n"]), int(data["ell"])
-        f = _resolve_function(data.get("function", {}), k, n)
+        try:
+            f = _resolve_function(data.get("function", {}), k, n)
+        except BudgetError as exc:  # the plan's k*n is past the guard
+            raise DomainError(f"the plan's function: {exc}") from None
         _, cert_k, cert_ell, triplets, cert_perms = _resolve_certificate(
             data["certificate"])
         if (cert_k, cert_ell) != (k, ell):

@@ -148,7 +148,8 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
     The demux schedule is fixed here, once: which board records feed each
     (instance, party) inbox, which instances each party runs in each round,
     which components each block recipient recomputes, and every framing
-    tag.
+    tag.  The compiled spec carries the speaker schedule, the parties that
+    run an instance in each round, so the runner asks no silent party.
     """
     k, n, ell = protos[0].k, protos[0].n, len(protos)
     # (j, j) for each j whose input party p sees in instance u
@@ -337,10 +338,15 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
             lengths[key] = lengths.get(key, 0) + v
         pattern = CommPattern(lengths, rounds + 1)
 
+    # the runner asks only the parties that run an instance in a round,
+    # and in the output round those that answer for one
+    speakers = tuple(tuple(p for p in range(1, k + 1) if active[t, p])
+                     for t in range(1, rounds + 1))
+    speakers += (tuple(p for p in range(1, k + 1) if answers[p]),)
     return ProtocolSpec(
         name=name, model=Model.NOF_BOARD, k=k, n=n, ell=ell,
         rounds=rounds + 1, next_message=next_message, output_party=1,
-        output_rule=output_rule, pattern=pattern)
+        output_rule=output_rule, pattern=pattern, _speakers=speakers)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from enum import Enum
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -25,6 +25,8 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 BOARD = 0  # recipient id for shared-board writes
 
 DEFAULT_BUDGET = 2 ** 24
+
+_TABLE_BITS = 24  # a truth table has at most 2^24 entries
 
 
 class NofmuxError(Exception):
@@ -89,6 +91,14 @@ def xor_bits(a: str, b: str) -> str:
 def _check_bits(payload: str) -> None:
     if payload.strip("01"):
         raise DomainError(f"payload {payload!r} is not a bit string")
+
+
+def _check_table_size(k: int, n: int) -> None:
+    """The materialization guard of every built truth table: more than
+    2^24 entries raise BudgetError before any is built."""
+    if k * n > _TABLE_BITS:
+        raise BudgetError(f"2^{k * n} entries exceed the materialization "
+                          f"guard")
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +257,7 @@ class TruthTable:
     @classmethod
     def from_function(cls, k: int, n: int,
                       fn: Callable[[tuple[str, ...]], int]) -> "TruthTable":
+        _check_table_size(k, n)
         args_iter = itertools.product(
             ["".join(bits) for bits in itertools.product("01", repeat=n)],
             repeat=k)
@@ -258,6 +269,7 @@ class TruthTable:
 
     @classmethod
     def constant(cls, k: int, n: int, bit: int) -> "TruthTable":
+        _check_table_size(k, n)
         return cls(k, n, (int(bit),) * (1 << (k * n)))
 
     def to_json(self) -> dict:
@@ -463,10 +475,26 @@ class ProtocolSpec:
     graph: RestrictionGraph | None = None     # NOF_GRAPH only
     chain: tuple[int, ...] | None = None      # MYOPIC only: (pi(1),...,pi(k))
     pattern: CommPattern | None = None
+    # set by the mux engine only: entry t - 1 lists the parties the runner
+    # asks in round t, the others being silent by construction; None asks
+    # every party.  A field, so that ``dataclasses.replace`` keeps it.
+    _speakers: tuple[tuple[int, ...], ...] | None = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (1 <= self.output_party <= self.k):
             raise DomainError("output party out of range")
+        if self._speakers is not None:
+            if len(self._speakers) != self.rounds:
+                raise DomainError(f"speaker schedule has "
+                                  f"{len(self._speakers)} rounds, the "
+                                  f"protocol {self.rounds}")
+            for t, parties in enumerate(self._speakers, start=1):
+                if (any(not 1 <= p <= self.k for p in parties)
+                        or len(set(parties)) != len(parties)):
+                    raise DomainError(f"speaker schedule of round {t} is "
+                                      f"not a set of parties in "
+                                      f"[1,{self.k}]: {parties}")
         if self.model is Model.NOF_GRAPH and self.graph is None:
             raise DomainError("NOF_GRAPH protocol needs a restriction graph")
         if self.graph is not None and self.graph.k != self.k:
@@ -509,16 +537,17 @@ class Transcript:
         """Bits excluding output-distribution writes (records tagged out:*)."""
         return self.costs()[1]
 
-    def costs(self) -> tuple[dict[tuple[int, int], int], int]:
-        """Bits per (sender, recipient) and ``payload_bits()``, in one pass."""
-        totals: dict[tuple[int, int], int] = {}
+    def costs(self) -> tuple[dict[tuple[int, int, int], int], int]:
+        """Bits per (round, sender, recipient), the realized lengths that a
+        pattern declares, and ``payload_bits()``, in one pass."""
+        lengths: dict[tuple[int, int, int], int] = {}
         payload = 0
-        for _, sender, recipient, word, _, tag in self.records:
-            key = (sender, recipient)
-            totals[key] = totals.get(key, 0) + len(word)
+        for rnd, sender, recipient, word, _, tag in self.records:
+            key = (rnd, sender, recipient)
+            lengths[key] = lengths.get(key, 0) + len(word)
             if not (tag and tag.startswith("out:")):
                 payload += len(word)
-        return totals, payload
+        return lengths, payload
 
 
 # ---------------------------------------------------------------------------
@@ -543,37 +572,38 @@ def _messages(spec: ProtocolSpec, sender: int, rnd: int,
     recipient, or the board's (protocol, tag) pair) or a point-to-point one
     with a protocol or a tag raises LegalityError: only bits, and a board
     channel, carry information.  One message is returned as it is."""
-    on_board = spec.model is _ON_BOARD
-    for out in outs:
-        if out.payload.strip("01"):
-            _check_bits(out.payload)  # raises the bit-string DomainError
+    on_board, myopic = spec.model is _ON_BOARD, spec.model is _MYOPIC
+    for recipient, payload, protocol, tag in outs:
+        if payload.strip("01"):
+            _check_bits(payload)  # raises the bit-string DomainError
         if on_board:
-            if out.recipient == BOARD:
+            if recipient == BOARD:
                 continue
             raise LegalityError("board protocols may only write on the board")
-        if not (1 <= out.recipient <= spec.k):
-            raise LegalityError(f"recipient {out.recipient} out of range")
-        if out.recipient == sender:
+        if not (1 <= recipient <= spec.k):
+            raise LegalityError(f"recipient {recipient} out of range")
+        if recipient == sender:
             raise LegalityError("party cannot send to itself")
-        if out.protocol is not None or out.tag is not None:
+        if protocol is not None or tag is not None:
             raise LegalityError("a point-to-point message carries no "
                                 "protocol or tag")
-        if spec.model is _MYOPIC and out.payload:
+        if myopic and payload:
             if rnd > spec.k:
                 raise LegalityError(f"myopic round {rnd}: no bits after "
                                     f"round {spec.k - 1}")
             if (rnd == spec.k or spec.chain[rnd - 1] != sender
-                    or spec.chain[rnd] != out.recipient):
+                    or spec.chain[rnd] != recipient):
                 raise LegalityError(
                     f"myopic round {rnd}: only {spec.chain[rnd - 1]}->"
                     f"{spec.chain[rnd] if rnd < spec.k else '?'} may carry "
                     f"bits")
     if len(outs) == 1:
-        return outs if outs[0].payload else ()
+        return outs if outs[0][1] else ()
     kept, channels = [], set()
     for out in outs:
-        if out.payload:
-            channel = (out.protocol, out.tag) if on_board else out.recipient
+        recipient, payload, protocol, tag = out
+        if payload:
+            channel = (protocol, tag) if on_board else recipient
             if channel in channels:
                 where = "on board channel" if on_board else "to party"
                 raise LegalityError(f"party {sender} sends two messages "
@@ -597,7 +627,9 @@ def run_protocol(spec: ProtocolSpec, x: InputMatrix) -> Transcript:
 
     Messages sent in round t may depend only on rounds 1..t-1, and pass
     ``_messages``.  Within a round, records are ordered by (sender,
-    protocol index, recipient).
+    protocol index, recipient).  Each round asks every party, or only the
+    parties of the round's entry in the spec's speaker schedule, if it has
+    one.
     Views are those of ``compute_view``, built from the spec's visibility
     table and interned by what their party sees: rows that show a party
     the same inputs give it the same view, along with the projections
@@ -639,11 +671,12 @@ def run_protocol(spec: ProtocolSpec, x: InputMatrix) -> Transcript:
     inboxes: dict[int, tuple[MessageRecord, ...]] = dict.fromkeys(views, ())
     records: list[MessageRecord] = []
     next_message, new = spec.next_message, tuple.__new__
+    asked = spec._speakers or (tuple(views),) * spec.rounds
     for t in range(1, spec.rounds + 1):
         board = tuple(records) if on_board else None
         round_records: list[MessageRecord] = []
-        for p, view in views.items():
-            outs = next_message(p, t, view, inboxes[p], board)
+        for p in asked[t - 1]:
+            outs = next_message(p, t, views[p], inboxes[p], board)
             if not outs:
                 continue
             for out in _messages(spec, p, t, outs):
@@ -678,22 +711,15 @@ def check_replay_determinism(spec: ProtocolSpec, x: InputMatrix) -> Transcript:
     return first
 
 
-def _realized_lengths(t: Transcript) -> dict[tuple[int, int, int], int]:
-    realized: dict[tuple[int, int, int], int] = {}
-    for r in t.records:
-        key = (r.round, r.sender, r.recipient)
-        realized[key] = realized.get(key, 0) + len(r.payload)
-    return realized
-
-
 def assert_pattern(spec: ProtocolSpec, x: InputMatrix,
                    transcript: Transcript) -> None:
     if spec.pattern is None:
         raise ObliviousnessError(f"protocol {spec.name} declares no pattern")
-    if _realized_lengths(transcript) != spec.pattern.lengths:
+    realized = transcript.costs()[0]
+    if realized != spec.pattern.lengths:
         raise ObliviousnessError(
             f"protocol {spec.name} violates its pattern on input "
-            f"index {x.index}: realized {_realized_lengths(transcript)}")
+            f"index {x.index}: realized {realized}")
 
 
 def check_symmetry(f: TruthTable, pi: Sequence[int] | None = None) -> bool:

@@ -15,8 +15,8 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     BudgetError, DEFAULT_BUDGET, DomainError, InputMatrix, Model,
-    ProtocolSpec, Transcript, TruthTable, assert_pattern, bits_to_int,
-    domain_size, run_protocol,
+    ProtocolSpec, Transcript, TruthTable, _check_table_size, assert_pattern,
+    bits_to_int, domain_size, run_protocol,
 )
 
 
@@ -32,8 +32,7 @@ def oracle_evaluate(f: TruthTable, x: InputMatrix) -> tuple[int, ...]:
 
 def random_truth_table(k: int, n: int, seed: int) -> TruthTable:
     """Deterministic pseudorandom table; same seed, same table."""
-    if k * n > 24:
-        raise BudgetError(f"2^{k * n} entries exceed the materialization guard")
+    _check_table_size(k, n)
     rng = random.Random(seed)
     return TruthTable(k, n, tuple(rng.randrange(2)
                                   for _ in range(1 << (k * n))))
@@ -117,25 +116,33 @@ def _domain(spec: ProtocolSpec, budget: int) -> range:
 
 def sweep(spec: ProtocolSpec, indices: Iterable[int],
           runs: _Runs | None = None
-          ) -> Iterator[tuple[InputMatrix, Transcript]]:
-    """Run the protocol on each input index and yield ``(x, transcript)``;
-    every run is checked against the declared pattern, if any.  Without a
-    table of runs nothing is kept.  With one, an index already in it is not
-    run again, and its transcript comes without outputs; a fresh run is
-    stored.  Callers guard the size of ``indices``: every full domain comes
-    from ``_domain``."""
+          ) -> Iterator[tuple[int, Transcript, tuple[dict, int]]]:
+    """Run the protocol on each input index and yield ``(idx, transcript,
+    costs)``, where ``costs`` is ``transcript.costs()``, the one pass over
+    its records: every run is checked against the declared pattern, if
+    any, by its realized lengths, and a run that matches gets the
+    pattern's own lengths dict.  An index is decoded only to be run, or to
+    name it in a pattern violation.  Without a table of runs nothing is
+    kept.  With one, an index already in it is not run again, and its
+    transcript comes without outputs; a fresh run is stored.  Callers guard
+    the size of ``indices``: every full domain comes from ``_domain``."""
+    k, n, ell = spec.k, spec.n, spec.ell
+    declared = None if spec.pattern is None else spec.pattern.lengths
     for idx in indices:
-        x = InputMatrix.from_index(idx, spec.k, spec.n, spec.ell)
         records = None if runs is None else runs.get(idx)
         if records is None:
-            t = run_protocol(spec, x)
+            t = run_protocol(spec, InputMatrix.from_index(idx, k, n, ell))
             if runs is not None:
                 runs.keep(idx, t.records)
         else:
             t = Transcript(records, {}, sum(len(r.payload) for r in records))
-        if spec.pattern is not None:
-            assert_pattern(spec, x, t)
-        yield x, t
+        lengths, payload = t.costs()
+        if declared is not None:
+            if lengths != declared:
+                assert_pattern(spec, InputMatrix.from_index(idx, k, n, ell),
+                               t)  # raises the ObliviousnessError
+            lengths = declared
+        yield idx, t, (lengths, payload)
 
 
 # a larger domain is spot-checked, not swept: a table would cost it more
@@ -213,15 +220,26 @@ class _Partial:
     worst_payload: int = 0
     channels: dict = field(default_factory=dict)
     counterexample: Counterexample | None = None
+    folded: dict | None = None  # the last lengths folded into channels
 
-    def tally(self, t: Transcript) -> None:
-        """Worst-case and per-channel cost accounting of one run."""
+    def tally(self, t: Transcript, costs: tuple[dict, int]) -> None:
+        """Worst-case and per-channel cost accounting of one run, from its
+        ``sweep`` costs.  The lengths dict folded last is not folded
+        again: runs that match a declared pattern all hand over its dict."""
         self.checked += 1
+        lengths, payload = costs
         self.worst = max(self.worst, t.total_bits)
-        totals, payload = t.costs()
         self.worst_payload = max(self.worst_payload, payload)
+        if lengths is self.folded:
+            return
+        self.folded = lengths
+        totals: dict[tuple[int, int], int] = {}
+        for (_, sender, recipient), bits in lengths.items():
+            key = (sender, recipient)
+            totals[key] = totals.get(key, 0) + bits
+        channels = self.channels
         for key, bits in totals.items():
-            self.channels[key] = max(self.channels.get(key, 0), bits)
+            channels[key] = max(channels.get(key, 0), bits)
 
     def report(self, spec: ProtocolSpec, predicted_bound: int | None,
                naive_baseline: int | None, exhaustive: bool
@@ -244,11 +262,11 @@ def measure_cost(spec: ProtocolSpec, budget: int = DEFAULT_BUDGET) -> CostReport
     Runs come from, and go to, the spec's table of runs.
     """
     part, per_round = _Partial(), {}
-    for _, t in sweep(spec, _domain(spec, budget), _runs(spec)):
-        part.tally(t)
+    for _, t, costs in sweep(spec, _domain(spec, budget), _runs(spec)):
+        part.tally(t, costs)
         rounds: dict[int, int] = {}
-        for r in t.records:
-            rounds[r.round] = rounds.get(r.round, 0) + len(r.payload)
+        for (rnd, _, _), bits in costs[0].items():
+            rounds[rnd] = rounds.get(rnd, 0) + bits
         for rnd, bits in rounds.items():
             per_round[rnd] = max(per_round.get(rnd, 0), bits)
     return CostReport(part.worst, part.channels, per_round,
@@ -281,18 +299,26 @@ def _oracle_sweep(spec: ProtocolSpec, f: TruthTable,
     """The one oracle loop: after the shape check, so before ``_domain``'s
     BudgetError, run each index of ``indices()`` fresh, storing its records
     in ``runs`` if given, and compare it with the oracle up to the first
-    counterexample."""
+    counterexample.  The oracle is ``oracle_evaluate``'s table lookup, read
+    by the index's instance fields: instance u's row is the u-th k*n-bit
+    field of the index, most significant first."""
     if f.k != spec.k or f.n != spec.n:
         raise DomainError("truth table shape does not match the protocol")
+    values, width = f.values, f.k * f.n
+    mask = (1 << width) - 1
+    fields = [(u, width * (spec.ell - u)) for u in range(1, spec.ell + 1)]
     part = _Partial()
-    for x, t in sweep(spec, indices()):
+    for idx, t, costs in sweep(spec, indices()):
         if runs is not None:
-            runs.keep(x.index, t.records)
-        part.tally(t)
-        for inst, want in enumerate(oracle_evaluate(f, x), start=1):
-            if t.outputs[inst] != want:
-                part.counterexample = Counterexample(
-                    x.index, inst, t.outputs[inst], want, x.rows)
+            runs.keep(idx, t.records)
+        part.tally(t, costs)
+        outputs = t.outputs
+        for u, shift in fields:
+            want = values[idx >> shift & mask]
+            if outputs[u] != want:
+                x = InputMatrix.from_index(idx, spec.k, spec.n, spec.ell)
+                part.counterexample = Counterexample(idx, u, outputs[u],
+                                                     want, x.rows)
                 return part
     return part
 
@@ -317,7 +343,7 @@ def _position_sweep(spec: ProtocolSpec, budget: int) -> _Positions:
         messages = [set() for _ in range(spec.k - 1)]
         rows: dict[tuple[int, ...], tuple[int, ...]] = {}
         costs = []
-        for _, t in sweep(spec, domain, _runs(spec)):
+        for _, t, _ in sweep(spec, domain, _runs(spec)):
             words = [""] * (spec.k - 1)
             for r in t.records:
                 words[r.round - 1] = r.payload

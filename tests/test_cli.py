@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -386,6 +387,18 @@ def test_malformed_plan_is_usage_error(override, error, tmp_path, capsys,
         {"k": 4, "n": 1, "values": [0] * 16}))
     Path("plan.json").write_text(json.dumps({**_T3_PLAN, **override}))
     _one_line_usage_error(["verify", "plan.json"], capsys, error)
+
+
+def test_plan_past_the_guard_fails_at_once(tmp_path, capsys):
+    """A plan whose eq table would have 2^200 entries costs no sweep and
+    no table: it is refused in well under a second of CPU time."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({**_T3_PLAN, "n": 40}))
+    start = time.process_time()
+    _one_line_usage_error(["verify", str(plan)], capsys,
+                          "the plan's function: 2^200 entries exceed the "
+                          "materialization guard")
+    assert time.process_time() - start < 0.5
 
 
 def test_demo_prints_each_criterion_and_fails_on_any(monkeypatch, capsys):

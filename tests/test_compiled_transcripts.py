@@ -142,6 +142,40 @@ def test_uncompiled_transcripts_match_pins(name):
     build, want = PINNED_UNCOMPILED[name]
     assert transcript_digest(build()) == want
 
+
+def assert_schedule_keeps_transcripts(spec):
+    """On every input, the compiled spec gives the transcript it gives
+    with its speaker schedule set to None, while the runner asks only the
+    scheduled parties, not every party in every round."""
+    calls = []
+
+    def counted(rule):
+        def next_message(*args):
+            calls.append(args[:2])
+            return rule(*args)
+        return next_message
+
+    assert spec._speakers is not None
+    scheduled = dataclasses.replace(
+        spec, next_message=counted(spec.next_message))
+    free = dataclasses.replace(scheduled, _speakers=None)
+    assert scheduled._speakers == spec._speakers  # replace keeps it
+    asked = [(p, t) for t, parties in enumerate(spec._speakers, start=1)
+             for p in parties]
+    for idx in range(domain_size(spec.k, spec.n, spec.ell)):
+        x = InputMatrix.from_index(idx, spec.k, spec.n, spec.ell)
+        calls.clear()
+        got = run_protocol(scheduled, x)
+        assert sorted(calls) == sorted(asked)
+        assert got == run_protocol(free, x)
+        # without a schedule the runner asked every (party, round) slot
+        assert len(calls) == len(asked) + spec.k * spec.rounds
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_speaker_schedule_keeps_every_transcript(name):
+    assert_schedule_keeps_transcripts(PINNED[name][0]())
+
 def flip_block_bit(spec, flips):
     """``spec`` with the first bit of each XOR block flipped.  Blocks are
     the board writes that carry no instance index; ``flips`` records the

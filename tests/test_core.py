@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -283,6 +284,19 @@ def test_truth_table_totality_enforced():
         TruthTable(2, 1, (0, 1, 1))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: TruthTable.eq(5, 5),
+    lambda: TruthTable.constant(5, 5, 1),
+    lambda: TruthTable.from_function(5, 5, lambda a: 0),
+    lambda: random_truth_table(5, 5, seed=0),
+], ids=["eq", "constant", "from_function", "random"])
+def test_truth_table_builders_share_the_materialization_guard(build):
+    """2^25 entries are refused before any is built."""
+    with pytest.raises(BudgetError, match=re.escape(
+            "2^25 entries exceed the materialization guard")):
+        build()
+
+
 def test_check_symmetry():
     assert check_symmetry(TruthTable.eq(3, 1))
     assert check_symmetry(TruthTable.constant(3, 2, 1))
@@ -372,6 +386,43 @@ def test_run_protocol_transcript_and_outputs():
     assert t.total_bits == 2
     assert t.payload_bits() == 1  # the out-tagged write is not payload
     assert [r.round for r in t.records] == [1, 2]
+
+
+@pytest.mark.parametrize("speakers, error", [
+    (((1,),), "speaker schedule has 1 rounds, the protocol 2"),
+    (((1,), (2,), (1,)), "speaker schedule has 3 rounds, the protocol 2"),
+    (((1,), (4,)), "speaker schedule of round 2 is not a set of parties "
+                   "in [1,3]: (4,)"),
+    (((0, 1), (2,)), "speaker schedule of round 1 is not a set of parties "
+                     "in [1,3]: (0, 1)"),
+    (((1, 1), (2,)), "speaker schedule of round 1 is not a set of parties "
+                     "in [1,3]: (1, 1)"),
+])
+def test_malformed_speaker_schedule_is_rejected(speakers, error):
+    spec = _xor_board_protocol()
+    with pytest.raises(DomainError, match=re.escape(error)):
+        dataclasses.replace(spec, _speakers=speakers)
+
+
+def test_runner_asks_only_the_scheduled_parties():
+    """The runner asks the scheduled slots alone: a schedule of the real
+    speakers keeps the transcript, and one that leaves out the round-1
+    writer leaves the board empty for P_2."""
+    spec, asked = _xor_board_protocol(), []
+
+    def next_message(p, t, views, inbox, board):
+        asked.append((p, t))
+        return spec.next_message(p, t, views, inbox, board)
+
+    x = InputMatrix.single("0", "1", "0")
+    traced = dataclasses.replace(spec, next_message=next_message)
+    scheduled = dataclasses.replace(traced, _speakers=((1,), (2,)))
+    assert run_protocol(scheduled, x) == run_protocol(spec, x)
+    assert asked == [(1, 1), (2, 2)]
+    asked.clear()
+    with pytest.raises(IndexError):  # P_2 reads board[0]
+        run_protocol(dataclasses.replace(traced, _speakers=((), (2,))), x)
+    assert asked == [(2, 2)]
 
 
 def test_run_protocol_checks_input_shape():

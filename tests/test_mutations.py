@@ -22,8 +22,8 @@ import pytest
 
 import nofmux.compiler
 from nofmux import (
-    BindingTriplet, NofmuxError, Outgoing, Permutation, TruthTable,
-    check_view_legality, compile_symmetric, domain_size,
+    BindingTriplet, InputMatrix, NofmuxError, Outgoing, Permutation,
+    TruthTable, check_view_legality, compile_symmetric, domain_size,
     example3_filtering_triplets, example3_graph, example3_protocol,
     exhaustive_verify, multiplex_combine, myopic_combine, myopic_eq_chain,
     oracle_evaluate, xor_bits,
@@ -226,6 +226,17 @@ def _flip_block_bit(plan, monkeypatch):
     return flip_block_bit(plan.compile(plan.protocols), [])
 
 
+def _drop_a_speaker(plan, monkeypatch):
+    """The engine's speaker schedule leaves out the sender of the XOR
+    block in the block's round, so the runner never asks it there."""
+    spec = plan.compile(plan.protocols)
+    rnd, sender, _ = plan.block
+    speakers = list(spec._speakers)
+    assert sender in speakers[rnd - 1]
+    speakers[rnd - 1] = tuple(p for p in speakers[rnd - 1] if p != sender)
+    return dataclasses.replace(spec, _speakers=tuple(speakers))
+
+
 class _Mutation(NamedTuple):
     build: Callable        # (plan, monkeypatch) -> compiled spec
     plans: tuple[str, ...]
@@ -244,6 +255,8 @@ MUTATIONS = {
     "closure-leak": _Mutation(_in_instance(1, _closure_leak), ALL),
     "zero-bit-signal": _Mutation(_in_instance(1, _zero_bit_signal), ALL),
     "xor-block-bit-flip": _Mutation(_flip_block_bit, ALL),
+    "schedule-drops-a-speaker": _Mutation(_drop_a_speaker, ALL,
+                                          starves=True),
 }
 
 CASES = [(m, p) for m, mutation in MUTATIONS.items() for p in mutation.plans]
@@ -257,7 +270,8 @@ def _first_catch(spec, f, indices, starves=False):
     caught = (NofmuxError, IndexError) if starves else NofmuxError
     for idx in indices:
         try:
-            (x, t), = sweep(spec, [idx])
+            (_, t, _), = sweep(spec, [idx])
+            x = InputMatrix.from_index(idx, spec.k, spec.n, spec.ell)
             outputs = tuple(t.outputs[u] for u in range(1, spec.ell + 1))
             if outputs != oracle_evaluate(f, x):
                 return idx, "oracle"

@@ -3,8 +3,9 @@
 Each seeded draw builds a t3 or a t2 plan with a greedy certificate,
 compiles it, runs it on every input and checks every output against the
 oracle, the declared pattern on every run, and the measured worst case
-against ``predicted_bound``, which it must equal.  A failing draw is a
-compiler or bound bug: report it, do not filter it out.
+against ``predicted_bound``, which it must equal.  Every transcript must
+also be the one the compiled spec gives without its speaker schedule.  A
+failing draw is a compiler or bound bug: report it, do not filter it out.
 """
 
 import itertools
@@ -18,6 +19,8 @@ from nofmux import (
     compile_symmetric, exhaustive_verify, is_filtering_set,
     is_repetitive_set, myopic_combine, myopic_eq_chain, predicted_bound,
 )
+
+from test_compiled_transcripts import assert_schedule_keeps_transcripts
 
 T3_SHAPES = ((4, 2, 1), (5, 2, 1), (6, 2, 1), (4, 3, 1))  # (k, ell, n)
 T2_SHAPES = ((4, 2), (5, 2), (6, 2), (4, 3))              # (k, ell), n = 1
@@ -70,6 +73,7 @@ def _check_t3(shape, seed):
     compiled = myopic_combine(plan.protocols, plan.perms, plan.certificate)
     _assert_exact(compiled, TruthTable.eq(plan.protocols[0].k,
                                           plan.protocols[0].n), plan)
+    assert_schedule_keeps_transcripts(compiled)
     return plan
 
 
@@ -149,6 +153,7 @@ def _check_t2(shape, seed):
     base, f, graph, triplets, ell = _t2_draw(shape, seed)
     compiled, plan, _ = compile_symmetric(base, f, graph, triplets, ell)
     _assert_exact(compiled, f, plan)
+    assert_schedule_keeps_transcripts(compiled)
     return plan
 
 

@@ -59,6 +59,43 @@ def test_oracle_matches_independent_lookup(idx, seed):
     assert oracle_evaluate(f, x) == independent
 
 
+def _scripted(f, ell, wrong=None):
+    """A protocol of no rounds whose output party answers, input after
+    input in index order, with ``oracle_evaluate``'s bits, except that
+    the (input index, instance) pair ``wrong`` gets the other bit."""
+    script = [oracle_evaluate(f, x) for x in enumerate_inputs(f.k, f.n, ell)]
+    step = itertools.count()
+
+    def output_rule(views, inbox, board):
+        idx = next(step)
+        return {u: bit ^ ((idx, u) == wrong)
+                for u, bit in enumerate(script[idx], start=1)}
+
+    return script, ProtocolSpec(
+        name="scripted", model=Model.NOF_BOARD, k=f.k, n=f.n, ell=ell,
+        rounds=0, next_message=None, output_party=1,
+        output_rule=output_rule)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_oracle_by_index_fields_equals_oracle_evaluate(n, ell):
+    """The oracle loop reads the table by the index's instance fields; it
+    agrees with ``oracle_evaluate`` on every input, and a wrong bit of any
+    instance is caught at its input, with that input's rows."""
+    f = random_truth_table(2, n, seed=10 * n + ell)
+    script, spec = _scripted(f, ell)
+    report = exhaustive_verify(spec, f)
+    assert report.correct and report.checked == len(script)
+    for u in range(1, ell + 1):
+        idx = 37 * u % len(script)
+        _, spec = _scripted(f, ell, wrong=(idx, u))
+        ce = exhaustive_verify(spec, f).counterexample
+        assert (ce.input_index, ce.instance) == (idx, u)
+        assert ce.expected == script[idx][u - 1] != ce.protocol_output
+        assert ce.rows == InputMatrix.from_index(idx, 2, n, ell).rows
+
+
 def test_random_truth_table_is_seed_deterministic():
     assert random_truth_table(3, 1, 1) == random_truth_table(3, 1, 1)
     assert random_truth_table(3, 1, 1) != random_truth_table(3, 1, 2)
@@ -552,15 +589,23 @@ def _breaks_pattern_when(word):
         pattern=CommPattern({(1, 1, BOARD): 2}, 1))
 
 
-def test_pattern_break_is_caught_after_legality_ran_every_index():
+def test_pattern_break_is_caught_after_legality_ran_every_index(
+        monkeypatch):
     """Legality stores runs without checking the pattern; measure_cost
-    still checks every index, stored or not."""
+    still checks every index, stored or not, and names a stored run's
+    index, which it decodes for that alone."""
     spec = _breaks_pattern_when("11")
     for idx in range(domain_size(2, 2, 1)):
         check_view_legality(spec, InputMatrix.from_index(idx, 2, 2, 1))
+    decoded = []
+    from_index = InputMatrix.from_index
+    monkeypatch.setattr(InputMatrix, "from_index", classmethod(
+        lambda cls, idx, *shape: decoded.append(idx) or from_index(
+            idx, *shape)))
     for _ in range(2):
         with pytest.raises(ObliviousnessError, match="input index 3:"):
             measure_cost(spec)
+    assert decoded == [3, 3]
 
 
 @pytest.mark.parametrize("order", ["cost-first", "legality-first"])
