@@ -27,7 +27,7 @@ from .compiler import (
 )
 from .core import (
     BudgetError, DEFAULT_BUDGET, DomainError, NofmuxError, ProtocolSpec,
-    RestrictionGraph, TruthTable,
+    RestrictionGraph, TruthTable, _json_int,
 )
 from .protocols import FAMILIES, example1_graph, example3_graph
 from .verifier import exhaustive_verify, random_truth_table
@@ -76,7 +76,7 @@ def _resolve_graph(source, k: int) -> RestrictionGraph:
             name = source["builtin"]
             if name not in _BUILTIN_GRAPHS:
                 raise DomainError(f"unknown builtin graph {name!r}")
-            graph = _BUILTIN_GRAPHS[name](int(source.get("k", k)))
+            graph = _BUILTIN_GRAPHS[name](_json_int(source.get("k", k), "k"))
         else:
             graph = RestrictionGraph.from_json(source)
     if graph.k != k:
@@ -91,9 +91,9 @@ def _resolve_function(desc: Mapping, k: int, n: int) -> TruthTable:
     if kind == "eq":
         return TruthTable.eq(k, n)
     if kind == "constant":
-        return TruthTable.constant(k, n, int(desc["bit"]))
+        return TruthTable.constant(k, n, _json_int(desc["bit"], "bit"))
     if kind == "random":
-        return random_truth_table(k, n, int(desc["seed"]))
+        return random_truth_table(k, n, _json_int(desc["seed"], "seed"))
     if kind == "file":
         f = TruthTable.from_json(_load_json(desc["path"]))
         if (f.k, f.n) != (k, n):
@@ -125,7 +125,10 @@ def _load_plan(path: str, budget: int):
         theorem_path = data["path"]
         if theorem_path not in CompilationPlan.PATHS:
             raise DomainError(f"unknown theorem path {theorem_path!r}")
-        k, n, ell = int(data["k"]), int(data["n"]), int(data["ell"])
+        k, n, ell = (_json_int(data[name], name) for name in ("k", "n", "ell"))
+        if n < 1 or ell < 1:
+            raise DomainError(f"the plan needs n >= 1 and ell >= 1, not "
+                              f"n={n}, ell={ell}")
         try:
             f = _resolve_function(data.get("function", {}), k, n)
         except BudgetError as exc:  # the plan's k*n is past the guard
@@ -142,8 +145,8 @@ def _load_plan(path: str, budget: int):
         if theorem_path != "t2":
             perms = cert_perms
             if "permutations" in data:
-                perms = tuple(Permutation(tuple(img))
-                              for img in data["permutations"])
+                perms = tuple(map(Permutation.from_json,
+                                  data["permutations"]))
             if perms is None:
                 raise DomainError("plan needs permutations, inline or in "
                                   "the certificate file")

@@ -12,7 +12,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import CertificateError, DomainError, RestrictionGraph
+from .core import CertificateError, DomainError, RestrictionGraph, _json_int
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,10 @@ class Permutation:
     @classmethod
     def identity(cls, k: int) -> "Permutation":
         return cls(tuple(range(1, k + 1)))
+
+    @classmethod
+    def from_json(cls, image: Sequence) -> "Permutation":
+        return cls(tuple(_json_int(v, "permutation entry") for v in image))
 
 
 @dataclass(frozen=True)
@@ -429,12 +433,13 @@ def certificate_from_json(data: Mapping) -> tuple[str, int, int, tuple,
     or triplet entries that do not fit ``k`` raise DomainError."""
     kind = data["kind"]
     cls = _triplet_class(kind)
-    k, ell = int(data["k"]), int(data["ell"])
-    triplets = tuple(cls(int(a), int(b), [int(v) for v in group])
+    k, ell = _json_int(data["k"], "k"), _json_int(data["ell"], "ell")
+    triplets = tuple(cls(_json_int(a, "triplet entry"),
+                         _json_int(b, "triplet entry"),
+                         [_json_int(v, "triplet entry") for v in group])
                      for a, b, group in data["triplets"])
     perms = None
     if "permutations" in data:
-        perms = tuple(Permutation(tuple(map(int, img)))
-                      for img in data["permutations"])
+        perms = tuple(map(Permutation.from_json, data["permutations"]))
     _check_shape(kind, k, triplets, perms)
     return kind, k, ell, triplets, perms

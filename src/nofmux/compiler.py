@@ -45,6 +45,10 @@ class CompilationPlan:
 
     ``path`` is one of t1 (general multiplexing), t2 (symmetric-function
     pipeline), t3 (myopic, possibly non-oblivious), c2 (the same as t3).
+    A plan is valid or it is not made: its protocols run their path's model
+    under its permutations, and its certificate is a multiplexing set
+    (t1/t2) or a repetitive set (t3/c2).  So the combiners and the bounds
+    read only plans that compile.
     """
 
     path: str
@@ -61,10 +65,39 @@ class CompilationPlan:
         if not (len(self.perms) == len(self.protocols) == self.ell > 0):
             raise DomainError("plan needs one permutation and one protocol "
                               "per instance")
+        base, perms = self.protocols[0], self.perms
+        on_board = self.path in ("t1", "t2")
         # a t2 plan holds the multiplexing set converted from its filtering set
-        kind = "multiplexing" if self.path in ("t1", "t2") else "repetitive"
-        _check_shape(kind, self.protocols[0].k, self.certificate, self.perms,
-                     self.ell)
+        _check_shape("multiplexing" if on_board else "repetitive", base.k,
+                     self.certificate, perms, self.ell)
+        if on_board and self.graph is None:
+            raise DomainError("plan needs the base restriction graph")
+        if on_board and not perms[0].is_identity():
+            raise DomainError("the first permutation must be the identity")
+        model, kind = ((Model.NOF_GRAPH, "point-to-point protocol")
+                       if on_board else (Model.MYOPIC, "myopic chain"))
+        for u, (q, pi) in enumerate(zip(self.protocols, perms), start=1):
+            if q.model is not model or q.ell != 1:
+                raise DomainError(f"protocol {u} is not a single-instance "
+                                  f"{kind}")
+            if ((q.k, q.n) != (base.k, base.n)
+                    or on_board and q.rounds != base.rounds):
+                raise DomainError(f"protocol {u} disagrees on shape")
+            if not on_board:
+                if q.chain != pi.image:
+                    raise DomainError(f"protocol {u} does not follow "
+                                      f"permutation {pi.image}")
+            # the certificate below is checked against the graph only
+            elif q.graph != permute_graph(self.graph, pi):
+                raise DomainError(f"protocol {u} does not run on the plan's "
+                                  f"graph relabeled by {pi.image}")
+            elif not check_pattern_robust(base, q, pi):
+                raise RobustnessError(f"protocol {u} does not match the base "
+                                      f"pattern under {pi.image}")
+        verdict = (is_multiplexing_set(self.certificate, perms, self.graph)
+                   if on_board else is_repetitive_set(self.certificate, perms))
+        if not verdict:
+            raise CertificateError(verdict.reason)
 
 
 # ---------------------------------------------------------------------------
@@ -358,35 +391,12 @@ def multiplex_combine(plan: CompilationPlan) -> ProtocolSpec:
     each certified message group as a single XOR word."""
     if plan.path not in ("t1", "t2"):
         raise DomainError("multiplex_combine handles the t1/t2 paths")
-    if plan.graph is None:
-        raise DomainError("plan needs the base restriction graph")
     protos, perms = plan.protocols, plan.perms
-    if not perms[0].is_identity():
-        raise DomainError("the first permutation must be the identity")
-    k, n, rounds = protos[0].k, protos[0].n, protos[0].rounds
-    for u, q in enumerate(protos, start=1):
-        if q.model is not Model.NOF_GRAPH or q.ell != 1:
-            raise DomainError(f"protocol {u} is not a single-instance "
-                              "point-to-point protocol")
-        if (q.k, q.n, q.rounds) != (k, n, rounds):
-            raise DomainError(f"protocol {u} disagrees on shape")
-        # the certificate below is checked against plan.graph only
-        if q.graph != permute_graph(plan.graph, perms[u - 1]):
-            raise DomainError(f"protocol {u} does not run on the plan's "
-                              f"graph relabeled by {perms[u - 1].image}")
-        if not check_pattern_robust(protos[0], q, perms[u - 1]):
-            raise RobustnessError(
-                f"protocol {u} does not match the base pattern under "
-                f"{perms[u - 1].image}")
-    cert = tuple(plan.certificate)
-    verdict = is_multiplexing_set(cert, perms, plan.graph)
-    if not verdict:
-        raise CertificateError(verdict.reason)
     groups = [_Group(t.a, ((1, t.b),) + tuple((r, perms[r - 1](t.b))
                                               for r in sorted(t.R)))
-              for t in cert]
+              for t in plan.certificate]
     return _mux_engine(f"mux-{plan.path}[{protos[0].name} x{plan.ell}]",
-                       protos, groups, rounds)
+                       protos, groups, protos[0].rounds)
 
 
 def compile_symmetric(spec: ProtocolSpec, f: TruthTable,
@@ -428,7 +438,8 @@ def myopic_combine(protocols: Sequence[ProtocolSpec],
                    triplets: Sequence[BindingTriplet],
                    budget: int = DEFAULT_BUDGET) -> ProtocolSpec:
     """Combine one-way chains on the board, XOR-writing the certified
-    position messages zero-padded to the longest of their group.
+    position messages zero-padded to the longest of their group.  The t3
+    plan it builds checks the chains, their permutations and the triplets.
 
     Every chain is swept uncompiled, so one that breaks the runner's
     legality rule fails here with its run's LegalityError, even in no
@@ -439,24 +450,9 @@ def myopic_combine(protocols: Sequence[ProtocolSpec],
     protocol declares a pattern when every chain does.
     """
     protos = tuple(protocols)
-    perms = tuple(perms)
-    ell = len(protos)
-    if len(perms) != ell or ell == 0:
-        raise DomainError("need one chain permutation per protocol")
-    k, n = protos[0].k, protos[0].n
-    for u, q in enumerate(protos, start=1):
-        if q.model is not Model.MYOPIC or q.ell != 1:
-            raise DomainError(f"protocol {u} is not a single-instance "
-                              "myopic chain")
-        if (q.k, q.n) != (k, n):
-            raise DomainError(f"protocol {u} disagrees on shape")
-        if q.chain != perms[u - 1].image:
-            raise DomainError(f"protocol {u} does not follow permutation "
-                              f"{perms[u - 1].image}")
-    cert = tuple(triplets)
-    verdict = is_repetitive_set(cert, perms)
-    if not verdict:
-        raise CertificateError(verdict.reason)
+    plan = CompilationPlan("t3", len(protos), tuple(perms), protos,
+                           tuple(triplets))
+    perms, cert = plan.perms, plan.certificate
     for q in protos:
         _position_sweep(q, budget)
     for t in cert:
@@ -469,8 +465,8 @@ def myopic_combine(protocols: Sequence[ProtocolSpec],
                      {u: messages_at_position(protos[u - 1], t.pos, budget)
                       for u in t.U})
               for t in cert]
-    return _mux_engine(f"mux-t3[{protos[0].name} x{ell}]", protos, groups,
-                       k - 1)
+    return _mux_engine(f"mux-t3[{protos[0].name} x{plan.ell}]", protos,
+                       groups, protos[0].k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +477,7 @@ def predicted_bound(plan: CompilationPlan,
                     budget: int = DEFAULT_BUDGET) -> Bound:
     """Closed-form worst-case bound for the plan's theorem path."""
     if plan.path in ("t1", "t2"):
-        base = plan.protocols[0].pattern
-        if base is None:
-            raise ObliviousnessError("t1/t2 bounds need an oblivious base")
+        base = plan.protocols[0].pattern  # declared: the plan checked it
         savings = sum(len(t.R) * base.channel_bits(t.a, t.b)
                       for t in plan.certificate)
         payload = plan.ell * base.total_bits() - savings
@@ -498,7 +492,7 @@ def _theorem3_bound(plan: CompilationPlan, budget: int) -> Bound:
     each chain's distinct rows."""
     # rows[u-1] holds chain u's distinct per-position costs, from the sweep
     # the prefix checks share, which guards its own budget
-    rows = [set(_position_sweep(q, budget).costs) for q in plan.protocols]
+    rows = [_position_sweep(q, budget).costs for q in plan.protocols]
     combos = math.prod(map(len, rows))
     if combos > budget:
         raise BudgetError(f"the t3 bound enumerates {combos} combinations "

@@ -93,6 +93,15 @@ def _check_bits(payload: str) -> None:
         raise DomainError(f"payload {payload!r} is not a bit string")
 
 
+def _json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer, an int that is not a bool; else
+    DomainError naming the field.  Every integer read from a file passes
+    here, so 2.5 or true is refused, not truncated."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def _check_table_size(k: int, n: int) -> None:
     """The materialization guard of every built truth table: more than
     2^24 entries raise BudgetError before any is built."""
@@ -151,8 +160,9 @@ class RestrictionGraph:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "RestrictionGraph":
-        return cls(int(data["k"]),
-                   frozenset((int(i), int(j)) for i, j in data["edges"]))
+        return cls(_json_int(data["k"], "k"), frozenset(
+            (_json_int(i, "edge endpoint"), _json_int(j, "edge endpoint"))
+            for i, j in data["edges"]))
 
 
 @dataclass(frozen=True)
@@ -277,8 +287,9 @@ class TruthTable:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "TruthTable":
-        return cls(int(data["k"]), int(data["n"]),
-                   tuple(int(v) for v in data["values"]))
+        return cls(_json_int(data["k"], "k"), _json_int(data["n"], "n"),
+                   tuple(_json_int(v, "truth table entry")
+                         for v in data["values"]))
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:

@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .combinatorics import Permutation, permute_graph
 from .core import (
     BOARD, CommPattern, DomainError, Model, Outgoing, ProtocolSpec,
-    RestrictionGraph, TruthTable, board_outputs, xor_bits,
+    RestrictionGraph, TruthTable, _json_int, board_outputs, xor_bits,
 )
 
 
@@ -294,9 +294,9 @@ FAMILIES: dict[str, Callable[[TruthTable, int, Mapping], ProtocolSpec]] = {
     "eq2": lambda f, ell, entry: eq_two_bit_protocol(f.k, f.n),
     "eq-multi": lambda f, ell, entry: eq_multi_protocol(f.k, f.n),
     "example1": lambda f, ell, entry: example1_protocol(f),
-    "example1-variant":
-        lambda f, ell, entry: example1_variant(f, int(entry["i"])),
+    "example1-variant": lambda f, ell, entry: example1_variant(
+        f, _json_int(entry["i"], "i")),
     "example3": lambda f, ell, entry: example3_protocol(f.k, f.n),
     "myopic-eq": lambda f, ell, entry: myopic_eq_chain(
-        f.k, f.n, Permutation(tuple(entry["pi"]))),
+        f.k, f.n, Permutation.from_json(entry["pi"])),
 }

@@ -285,11 +285,19 @@ def exhaustive_verify(spec: ProtocolSpec, f: TruthTable,
 def sampled_verify(spec: ProtocolSpec, f: TruthTable, samples: int, seed: int,
                    predicted_bound: int | None = None,
                    naive_baseline: int | None = None) -> VerificationReport:
-    """Seeded random sampling; the report is labeled non-exhaustive."""
+    """Seeded random sampling; the report is labeled non-exhaustive.  A
+    sample of no inputs would be a vacuous verdict: after the shape check,
+    ``samples`` < 1 raises DomainError."""
     rng = random.Random(seed)
     size = domain_size(spec.k, spec.n, spec.ell)
-    part = _oracle_sweep(
-        spec, f, lambda: [rng.randrange(size) for _ in range(samples)])
+
+    def sample() -> list[int]:
+        if samples < 1:
+            raise DomainError(f"a sample needs at least 1 input, not "
+                              f"{samples}")
+        return [rng.randrange(size) for _ in range(samples)]
+
+    part = _oracle_sweep(spec, f, sample)
     return part.report(spec, predicted_bound, naive_baseline, exhaustive=False)
 
 
@@ -326,33 +334,32 @@ def _oracle_sweep(spec: ProtocolSpec, f: TruthTable,
 class _Positions(NamedTuple):
     """One sweep of a myopic chain, reduced to what its callers keep."""
     messages: tuple[frozenset[str], ...]  # per position, distinct messages
-    costs: tuple[tuple[int, ...], ...]    # per input index, per position bits
+    costs: frozenset[tuple[int, ...]]     # distinct rows of per-position bits
 
 
 def _position_sweep(spec: ProtocolSpec, budget: int) -> _Positions:
     """Sweep a myopic chain once and keep, per position, its distinct
-    messages, and per input, each position's message length: a legal run
-    has one record at most in round t, position t's message.  The result is
-    kept on the spec, so ``myopic_combine``, which sweeps every chain for
-    legality and reads its prefix checks and block codes here, and the t3
-    bound share one sweep per chain; its runs go to the spec's table of
-    runs, which ``measure_cost`` reads.  The budget guard runs always."""
+    messages, and the distinct rows of per-position message lengths: a
+    legal run has one record at most in round t, position t's message.
+    The result is kept on the spec, so ``myopic_combine``, which sweeps
+    every chain for legality and reads its prefix checks and block codes
+    here, and the t3 bound share one sweep per chain; its runs go to the
+    spec's table of runs, which ``measure_cost`` reads.  The budget guard
+    runs always."""
     domain = _domain(spec, budget)
     memo = spec._memo
     if "positions" not in memo:
         messages = [set() for _ in range(spec.k - 1)]
-        rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-        costs = []
+        costs = set()
         for _, t, _ in sweep(spec, domain, _runs(spec)):
             words = [""] * (spec.k - 1)
             for r in t.records:
                 words[r.round - 1] = r.payload
             for found, word in zip(messages, words):
                 found.add(word)
-            row = tuple(len(w) for w in words)
-            costs.append(rows.setdefault(row, row))
+            costs.add(tuple(len(w) for w in words))
         memo["positions"] = _Positions(tuple(map(frozenset, messages)),
-                                       tuple(costs))
+                                       frozenset(costs))
     return memo["positions"]
 
 

@@ -344,6 +344,8 @@ _T2_PLAN = {
     "protocol": {"family": "example3"},
     "graph": {"builtin": "example3", "k": 5},
 }
+_T1_CERTIFICATE = {"kind": "multiplexing", "k": 4, "ell": 3,
+                   "triplets": [[4, 1, [2, 3]]]}
 # override of the t3 plan -> the pinned error, or None
 PLAN_ERRORS = {
     "permutation-count": ({"permutations": [[1, 2, 3, 4, 5]]}, None),
@@ -375,6 +377,46 @@ PLAN_ERRORS = {
         "kind": "multiplexing", "k": 5, "ell": 2,
         "triplets": [[2, 3, [2]]],
         "permutations": [[1, 2, 3, 4, 5], [4, 2, 5, 1, 3]]}}, None),
+    # every number read from a file is a JSON integer, never truncated
+    "ell-not-an-integer": ({"ell": 2.5}, "ell must be an integer, not 2.5"),
+    "k-a-boolean": ({"k": True}, "k must be an integer, not True"),
+    "n-zero": ({"n": 0}, "the plan needs n >= 1 and ell >= 1, not n=0, "
+                         "ell=2"),
+    # a t2 plan's ell reaches no plan check, only the filtering-set check
+    "t2-ell-zero": ({**_T2_PLAN, "ell": 0, "certificate": {
+        "kind": "filtering", "k": 5, "ell": 0, "triplets": []}},
+        "the plan needs n >= 1 and ell >= 1, not n=1, ell=0"),
+    "function-bit-not-an-integer": (
+        {"function": {"kind": "constant", "bit": 1.0}},
+        "bit must be an integer, not 1.0"),
+    "function-seed-not-an-integer": (
+        {"function": {"kind": "random", "seed": 1.5}},
+        "seed must be an integer, not 1.5"),
+    "function-file-entry-not-an-integer": (
+        {"function": {"kind": "file", "path": "half.json"}},
+        "truth table entry must be an integer, not 0.5"),
+    "certificate-ell-not-an-integer": (
+        {"certificate": {**_T3_PLAN["certificate"], "ell": 2.5}},
+        "ell must be an integer, not 2.5"),
+    "inline-permutation-entry-not-an-integer": (
+        {"permutations": [[1, 2, 3, 4, 5], [4, 2, 5, 1, 3.0]]},
+        "permutation entry must be an integer, not 3.0"),
+    "chain-entry-not-an-integer": (
+        {"protocols": [{"family": "myopic-eq", "pi": [1, 2, 3, 4, 5]},
+                       {"family": "myopic-eq", "pi": [4, 2, 5, 1, 3.0]}]},
+        "permutation entry must be an integer, not 3.0"),
+    "variant-index-not-an-integer": (
+        {**_T1_PLAN, "certificate": _T1_CERTIFICATE,
+         "protocols": [{"family": "example1-variant", "i": i}
+                       for i in (1, 2.0, 3)]},
+        "i must be an integer, not 2.0"),
+    "builtin-graph-k-not-an-integer": (
+        {**_T2_PLAN, "graph": {"builtin": "example3", "k": 5.0}},
+        "k must be an integer, not 5.0"),
+    "graph-edge-not-an-integer": (
+        {**_T1_PLAN, "certificate": _T1_CERTIFICATE,
+         "graph": {"k": 4, "edges": [[1, 2.5]]}},
+        "edge endpoint must be an integer, not 2.5"),
 }
 
 
@@ -385,6 +427,8 @@ def test_malformed_plan_is_usage_error(override, error, tmp_path, capsys,
     monkeypatch.chdir(tmp_path)  # relative function file paths
     Path("k4.json").write_text(json.dumps(
         {"k": 4, "n": 1, "values": [0] * 16}))
+    Path("half.json").write_text(json.dumps(
+        {"k": 5, "n": 1, "values": [0.5] + [0] * 31}))
     Path("plan.json").write_text(json.dumps({**_T3_PLAN, **override}))
     _one_line_usage_error(["verify", "plan.json"], capsys, error)
 

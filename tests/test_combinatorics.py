@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -323,6 +324,30 @@ def test_certificate_that_does_not_fit_its_k_is_rejected():
     with pytest.raises(DomainError, match=r"permutations of \[1,4\]"):
         is_multiplexing_set((MultiplexTriplet(1, 2, frozenset({2})),),
                             perms, RestrictionGraph(4, frozenset()))
+
+
+@pytest.mark.parametrize("field,value,error", [
+    ("ell", 2.5, "ell must be an integer, not 2.5"),
+    ("k", True, "k must be an integer, not True"),
+    ("triplets", [[2, 2, [1, 2.0]]],
+     "triplet entry must be an integer, not 2.0"),
+    ("triplets", [[2.5, 2, [1, 2]]],
+     "triplet entry must be an integer, not 2.5"),
+    ("permutations", [[1, 2, 3, 4, 5], [4, 2, 5, 1, 3.0]],
+     "permutation entry must be an integer, not 3.0"),
+    ("permutations", [[1, 2, 3, 4, 5], [4, 2, 5, True, 3]],
+     "permutation entry must be an integer, not True"),
+], ids=["float-ell", "boolean-k", "float-group-entry", "float-position",
+        "float-image", "boolean-image"])
+def test_certificate_json_refuses_non_integers(field, value, error):
+    """A certificate file's numbers are JSON integers: "ell": 2.5 is not
+    read as 2."""
+    data = {"kind": "repetitive", "k": 5, "ell": 2,
+            "triplets": [[2, 2, [1, 2]]],
+            "permutations": [[1, 2, 3, 4, 5], [4, 2, 5, 1, 3]]}
+    certificate_from_json(data)
+    with pytest.raises(DomainError, match=f"^{re.escape(error)}$"):
+        certificate_from_json({**data, field: value})
 
 
 def test_certificate_rejects_unknown_kind():

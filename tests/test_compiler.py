@@ -152,11 +152,11 @@ def test_combiner_rejects_malformed_instance_message(sender, outgoing, exc,
 
 def test_combiner_requires_identity_first_permutation():
     plan, _ = forwarding_pipeline_plan(n=1)
-    shuffled = CompilationPlan(
-        plan.path, plan.ell, (plan.perms[1], plan.perms[0], plan.perms[2]),
-        plan.protocols, plan.certificate, plan.graph)
     with pytest.raises(DomainError):
-        multiplex_combine(shuffled)
+        CompilationPlan(
+            plan.path, plan.ell,
+            (plan.perms[1], plan.perms[0], plan.perms[2]), plan.protocols,
+            plan.certificate, plan.graph)
 
 
 def test_combiner_rejects_pattern_mismatch():
@@ -169,20 +169,18 @@ def test_combiner_rejects_pattern_mismatch():
         output_rule=plan.protocols[2].output_rule,
         graph=plan.protocols[2].graph,
         pattern=CommPattern({(1, 4, 3): 2}, 1))
-    broken = CompilationPlan(plan.path, plan.ell, plan.perms,
-                             plan.protocols[:2] + (fat,), plan.certificate,
-                             plan.graph)
     with pytest.raises(RobustnessError):
-        multiplex_combine(broken)
+        CompilationPlan(plan.path, plan.ell, plan.perms,
+                        plan.protocols[:2] + (fat,), plan.certificate,
+                        plan.graph)
 
 
 def test_combiner_rejects_invalid_certificate():
     plan, _ = forwarding_pipeline_plan(n=1)
-    bad = CompilationPlan(
-        plan.path, plan.ell, plan.perms, plan.protocols,
-        (MultiplexTriplet(1, 4, frozenset({2})),), plan.graph)
     with pytest.raises(CertificateError):
-        multiplex_combine(bad)
+        CompilationPlan(
+            plan.path, plan.ell, plan.perms, plan.protocols,
+            (MultiplexTriplet(1, 4, frozenset({2})),), plan.graph)
 
 
 def test_combiner_rejects_protocols_off_the_plan_graph():
@@ -190,19 +188,38 @@ def test_combiner_rejects_protocols_off_the_plan_graph():
     on plan.graph relabeled by pi_u; else a valid certificate could fail at
     run time."""
     plan, _ = forwarding_pipeline_plan(n=1)
-    empty = CompilationPlan(plan.path, plan.ell, plan.perms, plan.protocols,
-                            plan.certificate, RestrictionGraph(4, frozenset()))
     with pytest.raises(DomainError, match=r"^protocol 1 does not run on the "
                                           r"plan's graph relabeled by"):
-        multiplex_combine(empty)
+        CompilationPlan(plan.path, plan.ell, plan.perms, plan.protocols,
+                        plan.certificate, RestrictionGraph(4, frozenset()))
     second = dataclasses.replace(plan.protocols[1],
                                  graph=plan.protocols[0].graph)
     assert second.graph != plan.protocols[1].graph
-    swapped = CompilationPlan(plan.path, plan.ell, plan.perms,
-                              (plan.protocols[0], second) + plan.protocols[2:],
-                              plan.certificate, plan.graph)
     with pytest.raises(DomainError, match=r"^protocol 2 does not run on"):
-        multiplex_combine(swapped)
+        CompilationPlan(plan.path, plan.ell, plan.perms,
+                        (plan.protocols[0], second) + plan.protocols[2:],
+                        plan.certificate, plan.graph)
+    # three copies of Q^1: no plan, so no bound priced for it either
+    with pytest.raises(DomainError, match=r"^protocol 2 does not run on the "
+                                          r"plan's graph relabeled by "
+                                          r"\(2, 3, 1, 4\)$"):
+        CompilationPlan(plan.path, plan.ell, plan.perms,
+                        (plan.protocols[0],) * 3, plan.certificate,
+                        plan.graph)
+
+
+@pytest.mark.parametrize("path", ["t3", "c2"])
+def test_a_myopic_plan_without_a_repetitive_set_is_not_made(path):
+    """(2, 2, {1, 2}) breaks condition 3 for these chains: party 3 comes
+    before position 2 in chain 2 and succeeds it in chain 1.  Neither the
+    plan nor the combiner is made."""
+    perms = (Permutation.identity(5), Permutation((3, 2, 4, 1, 5)))
+    protos = tuple(myopic_eq_chain(5, 1, pi) for pi in perms)
+    cert = (BindingTriplet(2, 2, frozenset({1, 2})),)
+    with pytest.raises(CertificateError, match="condition 3"):
+        CompilationPlan(path, 2, perms, protos, cert)
+    with pytest.raises(CertificateError, match="condition 3"):
+        myopic_combine(protos, perms, cert)
 
 
 def test_empty_certificate_costs_ell_copies_plus_outputs():
@@ -575,7 +592,7 @@ def test_t3_bound_of_input_dependent_lengths():
     perms = (Permutation((1, 2, 3, 4, 5)), Permutation((4, 2, 5, 1, 3)))
     protos = tuple(_coded_chain(pi) for pi in perms)
     cert = (BindingTriplet(2, 2, frozenset({1, 2})),)
-    assert all(len(set(_position_sweep(q, DEFAULT_BUDGET).costs)) >= 2
+    assert all(len(_position_sweep(q, DEFAULT_BUDGET).costs) >= 2
                for q in protos)
     bound = predicted_bound(CompilationPlan("t3", 2, perms, protos, cert))
     assert bound == (12, 10)

@@ -179,6 +179,41 @@ def test_graph_json_roundtrip():
     assert RestrictionGraph.from_json(g.to_json()) == g
 
 
+@pytest.mark.parametrize("data,error", [
+    ({"k": 3.9, "edges": []}, "k must be an integer, not 3.9"),
+    ({"k": True, "edges": []}, "k must be an integer, not True"),
+    ({"k": 3, "edges": [[1, 2.7]]}, "edge endpoint must be an integer, "
+                                    "not 2.7"),
+    ({"k": 3, "edges": [["1", 2]]}, "edge endpoint must be an integer, "
+                                    "not '1'"),
+], ids=["float-k", "boolean-k", "float-endpoint", "string-endpoint"])
+def test_graph_json_refuses_non_integers(data, error):
+    """A graph file's numbers are JSON integers: 3.9 is not read as 3."""
+    with pytest.raises(DomainError, match=f"^{re.escape(error)}$"):
+        RestrictionGraph.from_json(data)
+
+
+@pytest.mark.parametrize("data,error", [
+    ({"k": 2, "n": 1, "values": [0.5, 1, 1, 0]},
+     "truth table entry must be an integer, not 0.5"),
+    ({"k": 2, "n": 1, "values": [1.0, 1, 1, 0]},
+     "truth table entry must be an integer, not 1.0"),
+    ({"k": 2, "n": 1, "values": [True, 1, 1, 0]},
+     "truth table entry must be an integer, not True"),
+    ({"k": True, "n": 2, "values": [0, 1, 1, 0]},
+     "k must be an integer, not True"),
+    ({"k": 2, "n": 1.0, "values": [0, 1, 1, 0]},
+     "n must be an integer, not 1.0"),
+], ids=["half-entry", "float-entry", "boolean-entry", "boolean-k",
+        "float-n"])
+def test_truth_table_json_refuses_non_integers(data, error):
+    """0.5 is not read as 0, nor true as 1."""
+    with pytest.raises(DomainError, match=f"^{re.escape(error)}$"):
+        TruthTable.from_json(data)
+    assert TruthTable.from_json({"k": 2, "n": 1, "values": [0, 1, 1, 0]}) \
+        == TruthTable(2, 1, (0, 1, 1, 0))
+
+
 def test_view_denies_invisible_parties():
     v = View(2, {1: "01", 3: "10"})
     assert v[1] == "01"

@@ -172,6 +172,15 @@ def test_sampled_verify_checks_shape(samples):
                        samples=samples, seed=0)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sampled_verify_refuses_an_empty_sample(samples):
+    """A sample of no inputs would report correct=True with checked=0."""
+    with pytest.raises(DomainError, match=r"^a sample needs at least 1 "
+                                          rf"input, not {samples}$"):
+        sampled_verify(eq_two_bit_protocol(4, 1), TruthTable.eq(4, 1),
+                       samples=samples, seed=0)
+
+
 def test_sampled_verify_is_labeled():
     f = TruthTable.eq(4, 1)
     report = sampled_verify(eq_two_bit_protocol(4, 1), f, samples=10, seed=3)
