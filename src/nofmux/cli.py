@@ -289,6 +289,14 @@ def _cmd_demo(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """An argparse type: a positive integer, else a usage error."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive "
+                                         f"integer")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nofmux",
@@ -312,18 +320,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile a plan file")
     p.add_argument("plan", help="plan JSON file")
     p.add_argument("--out", help="write the compiled descriptor as JSON")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.set_defaults(fn=_cmd_compile)
 
     p = sub.add_parser("verify", help="compile a plan and verify it "
                                       "exhaustively against the oracle")
     p.add_argument("plan", help="plan JSON file")
     p.add_argument("--out", help="write the verification report as JSON")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("demo", help="run the demo suite")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--full", action="store_true",
                    help="run the large-domain variants (minutes)")
     p.set_defaults(fn=_cmd_demo)

@@ -148,7 +148,8 @@ def _check_shape(kind: str, k: int, triplets: Sequence,
         if type(t) is not cls:
             raise DomainError(f"a {kind} certificate holds {cls.__name__}s, "
                               f"not {type(t).__name__}")
-        first, second, group = dataclasses.astuple(t)
+        # vars() holds the fields in their order, and copies no group
+        first, second, group = vars(t).values()
         for top, values in zip(tops, ((first,), (second,), group)):
             if top is not None and not all(1 <= v <= top for v in values):
                 raise DomainError(f"triplet ({first}, {second}, "
@@ -421,7 +422,7 @@ def certificate_to_json(kind: str, k: int, ell: int, triplets: Sequence,
     _check_shape(kind, k, triplets, perms)
     data: dict = {"kind": kind, "k": k, "ell": ell, "triplets": [
         [a, b, sorted(g) if isinstance(g, frozenset) else list(g)]
-        for a, b, g in map(dataclasses.astuple, triplets)]}
+        for a, b, g in (vars(t).values() for t in triplets)]}
     if perms is not None:
         data["permutations"] = [list(p.image) for p in perms]
     return data

@@ -25,7 +25,7 @@ from .core import (
     BOARD, BudgetError, CertificateError, CommPattern, DEFAULT_BUDGET,
     DomainError, LegalityError, Model, ObliviousnessError,
     Outgoing, ProtocolSpec, RestrictionGraph, RobustnessError,
-    SoundnessError, TruthTable, _messages, _record,
+    SoundnessError, TruthTable, _messages, _outputs, _record,
     board_outputs, check_symmetry, xor_bits,
     run_protocol,  # not called here: bench/tracing.py patches it as a span
 )
@@ -175,8 +175,8 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
     group without codes (t1/t2) needs all components to fill the block; a
     group with codes (t3/c2) leaves the recipient the unique prefix of the
     zero-padded rest that lies in its instance's code.  Every instance
-    rule's result passes the runner's legality rule, ``_messages``, under
-    its own protocol's model before it is boarded or staged.
+    rule's result passes the runner's check, ``_messages`` or ``_outputs``,
+    under its own protocol's model before it is boarded or staged.
 
     The demux schedule is fixed here, once: which board records feed each
     (instance, party) inbox, which instances each party runs in each round,
@@ -317,9 +317,9 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
         if t > rounds:
             outs = []
             for u, q, own in instances:
-                bits = q.output_rule(
+                bits = _outputs(q.output_rule(
                     {1: views[u] if own else sub_view(p, u, views)},
-                    inbox(p, u, t, fed, views, strip), None)
+                    inbox(p, u, t, fed, views, strip), None), 1)
                 outs.append(Outgoing(BOARD, str(bits[1]), u, out_tags[u]))
             return outs
         staged: dict[int, dict[tuple[int, int], str]] = {}

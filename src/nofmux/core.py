@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from enum import Enum
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 BOARD = 0  # recipient id for shared-board writes
 
@@ -233,6 +234,8 @@ def _row_table(k: int, n: int) -> tuple[tuple[str, ...], ...]:
 
 
 def domain_size(k: int, n: int, ell: int) -> int:
+    if min(k, n, ell) < 0:
+        raise DomainError(f"no input domain of shape ({k},{n},{ell})")
     return 1 << (k * n * ell)
 
 
@@ -256,7 +259,7 @@ class TruthTable:
     def __post_init__(self) -> None:
         if len(self.values) != 1 << (self.k * self.n):
             raise DomainError("truth table is not total")
-        if any(v not in (0, 1) for v in self.values):
+        if any(type(v) is not int or v not in (0, 1) for v in self.values):
             raise DomainError("truth table entries must be bits")
 
     def evaluate(self, args: Sequence[str]) -> int:
@@ -493,6 +496,10 @@ class ProtocolSpec:
         default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.k < 2 or self.n < 1 or self.ell < 1 or self.rounds < 0:
+            raise DomainError(f"protocol needs k >= 2, n >= 1, ell >= 1 and "
+                              f"rounds >= 0, not k={self.k}, n={self.n}, "
+                              f"ell={self.ell}, rounds={self.rounds}")
         if not (1 <= self.output_party <= self.k):
             raise DomainError("output party out of range")
         if self._speakers is not None:
@@ -624,6 +631,18 @@ def _messages(spec: ProtocolSpec, sender: int, rnd: int,
     return kept
 
 
+def _outputs(result, ell: int) -> dict[int, int]:
+    """The one output check: ``result`` as {instance: bit} if its keys are
+    exactly 1..ell and its values the int 0 or 1, else DomainError."""
+    if (type(result) is not dict and not isinstance(result, Mapping)
+            or result.keys() != set(range(1, ell + 1))):
+        raise DomainError("output rule must produce one bit per instance")
+    for bit in result.values():
+        if type(bit) is not int or bit not in (0, 1):
+            raise DomainError(f"output {bit!r} is not a bit")
+    return dict(result)
+
+
 def _round_order(r: MessageRecord) -> tuple[int, int, int]:
     return (r.sender, r.protocol or 0, r.recipient)
 
@@ -700,16 +719,10 @@ def run_protocol(spec: ProtocolSpec, x: InputMatrix) -> Transcript:
             for r in round_records:
                 inboxes[r.recipient] += (r,)
     final = tuple(records)
-    outputs = dict(spec.output_rule(views[spec.output_party],
-                                    inboxes[spec.output_party],
-                                    final if on_board else None))
-    if sorted(outputs) != list(range(1, spec.ell + 1)):
-        raise DomainError("output rule must produce one bit per instance")
-    for bit in outputs.values():
-        if bit not in (0, 1):
-            raise DomainError(f"output {bit!r} is not a bit")
-    return Transcript(final, outputs,
-                      sum(len(r.payload) for r in final))
+    outputs = _outputs(spec.output_rule(views[spec.output_party],
+                                        inboxes[spec.output_party],
+                                        final if on_board else None), spec.ell)
+    return Transcript(final, outputs, sum(len(r.payload) for r in final))
 
 
 def check_replay_determinism(spec: ProtocolSpec, x: InputMatrix) -> Transcript:
@@ -760,12 +773,15 @@ def check_symmetry(f: TruthTable, pi: Sequence[int] | None = None) -> bool:
 
 
 def board_outputs(board: Sequence[MessageRecord], ell: int) -> dict[int, int]:
-    """Collect per-instance output bits from records tagged ``out:<i>``."""
+    """Per-instance bits of the ``out:<i>`` records, else DomainError."""
     outputs: dict[int, int] = {}
     for r in board:
         if r.tag and r.tag.startswith("out:"):
-            outputs[int(r.tag[4:])] = int(r.payload)
-    if sorted(outputs) != list(range(1, ell + 1)):
-        raise DomainError(f"board holds outputs for {sorted(outputs)}, "
-                          f"expected instances 1..{ell}")
-    return outputs
+            u = r.tag[4:]
+            if not u.isdecimal() or r.payload not in ("0", "1"):
+                raise DomainError(f"malformed output record: tag {r.tag!r}, "
+                                  f"payload {r.payload!r}")
+            if int(u) in outputs:
+                raise DomainError(f"two output records for instance {u}")
+            outputs[int(u)] = int(r.payload)
+    return _outputs(outputs, ell)

@@ -485,6 +485,21 @@ def test_verify_reports_counterexample(tmp_path, capsys):
         "expected": 0, "rows": [["0"] * 5, ["0"] * 5]}
 
 
+@pytest.mark.parametrize("command", ["compile", "verify", "demo"])
+@pytest.mark.parametrize("budget", ["0", "-1", "x"])
+def test_budget_must_be_a_positive_integer(command, budget, tmp_path,
+                                           capsys):
+    """A budget below 1 is a usage error, exit 2 before anything runs, not
+    a failed assertion (exit 1) from the first sweep it guards."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(_T3_PLAN))
+    argv = [command] + ([] if command == "demo" else [str(plan)])
+    assert main(argv + ["--budget", budget]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --budget: {budget!r} is not a positive integer" in err
+
+
 def test_compile_t3_plan_within_a_small_budget(tmp_path, capsys):
     """The t3 bound enumerates one combination of cost rows here, so a
     budget that covers the chains' 32-input sweeps covers the bound."""

@@ -319,6 +319,14 @@ def test_truth_table_totality_enforced():
         TruthTable(2, 1, (0, 1, 1))
 
 
+@pytest.mark.parametrize("entry", [True, 1.0, 2])
+def test_truth_table_entries_are_int_bits(entry):
+    """An entry is the int 0 or 1, so ``evaluate`` never hands back a
+    bool that an output rule would pass on."""
+    with pytest.raises(DomainError, match="truth table entries must be bits"):
+        TruthTable(2, 1, (0, 1, entry, 0))
+
+
 @pytest.mark.parametrize("build", [
     lambda: TruthTable.eq(5, 5),
     lambda: TruthTable.constant(5, 5, 1),
@@ -537,6 +545,47 @@ def _one_round(model, next_message, graph=None):
         output_rule=lambda views, inbox, board: {1: 0})
 
 
+@pytest.mark.parametrize("shape, error", [
+    (dict(k=1, output_party=1), "k=1, n=2, ell=1, rounds=1"),
+    (dict(n=0), "k=3, n=0, ell=1, rounds=1"),
+    (dict(ell=0), "k=3, n=2, ell=0, rounds=1"),
+    (dict(rounds=-1), "k=3, n=2, ell=1, rounds=-1"),
+], ids=["k-1", "n-0", "ell-0", "rounds-negative"])
+def test_degenerate_spec_shapes_are_refused(shape, error):
+    spec = _one_round(Model.NOF_BOARD, lambda p, t, views, inbox, board: [])
+    with pytest.raises(DomainError, match=re.escape(
+            "protocol needs k >= 2, n >= 1, ell >= 1 and rounds >= 0, not "
+            + error)):
+        dataclasses.replace(spec, **shape)
+    assert dataclasses.replace(spec, rounds=0).rounds == 0  # still legal
+
+
+def test_domain_size_refuses_a_negative_shape():
+    with pytest.raises(DomainError, match=re.escape(
+            "no input domain of shape (2,-1,1)")):
+        domain_size(2, -1, 1)
+    assert domain_size(2, 0, 1) == 1
+
+
+@pytest.mark.parametrize("result, error", [
+    ([1], "output rule must produce one bit per instance"),
+    (None, "output rule must produce one bit per instance"),
+    (1, "output rule must produce one bit per instance"),
+    ({}, "output rule must produce one bit per instance"),
+    ({1: 0, 2: 1}, "output rule must produce one bit per instance"),
+    ({1: 2}, "output 2 is not a bit"),
+    ({1: True}, "output True is not a bit"),
+    ({1: 1.0}, "output 1.0 is not a bit"),
+], ids=["list", "none", "int", "empty", "extra-instance", "two", "bool",
+        "float"])
+def test_runner_refuses_a_malformed_output(result, error):
+    spec = dataclasses.replace(
+        _one_round(Model.NOF_BOARD, lambda p, t, views, inbox, board: []),
+        output_rule=lambda views, inbox, board: result)
+    with pytest.raises(DomainError, match=re.escape(error)):
+        run_protocol(spec, InputMatrix.single("00", "01", "10"))
+
+
 def test_runner_rule_reading_own_forehead_is_illegal():
     def next_message(p, t, views, inbox, board):
         return [Outgoing(BOARD, views[1][p])] if p == 2 else []
@@ -668,5 +717,20 @@ def test_pattern_permuted_relabels_endpoints():
 def test_board_outputs_requires_all_instances():
     records = (MessageRecord(2, 1, BOARD, "1", tag="out:1"),)
     assert board_outputs(records, 1) == {1: 1}
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError,
+                       match="output rule must produce one bit per instance"):
         board_outputs(records, 2)
+
+
+@pytest.mark.parametrize("records, error", [
+    ((MessageRecord(2, 1, BOARD, "1", tag="out:x"),),
+     "malformed output record: tag 'out:x', payload '1'"),
+    ((MessageRecord(2, 1, BOARD, "10", tag="out:1"),),
+     "malformed output record: tag 'out:1', payload '10'"),
+    ((MessageRecord(2, 1, BOARD, "1", tag="out:1"),
+      MessageRecord(2, 2, BOARD, "0", tag="out:1")),
+     "two output records for instance 1"),
+], ids=["tag-not-decimal", "two-bit-payload", "second-record"])
+def test_board_outputs_refuses_a_malformed_record(records, error):
+    with pytest.raises(DomainError, match=re.escape(error)):
+        board_outputs(records, 1)

@@ -26,7 +26,7 @@ from nofmux import (
     TruthTable, check_view_legality, compile_symmetric, domain_size,
     example3_filtering_triplets, example3_graph, example3_protocol,
     exhaustive_verify, multiplex_combine, myopic_combine, myopic_eq_chain,
-    oracle_evaluate, xor_bits,
+    oracle_evaluate, run_protocol, xor_bits,
 )
 from nofmux.acceptance import chained_equality_plan, forwarding_pipeline_plan
 from nofmux.core import _record
@@ -169,6 +169,28 @@ def _zero_bit_signal(q, plan):
     return next_message, output_rule
 
 
+def _edit_output(q, edit):
+    """Rules of q whose output passes through ``edit(outputs)``."""
+    def output_rule(views, inbox, board):
+        return edit(q.output_rule(views, inbox, board))
+    return q.next_message, output_rule
+
+
+def _output_drops_an_instance(q, plan):
+    """The output rule answers for no instance."""
+    return _edit_output(q, lambda outputs: {})
+
+
+def _output_extra_instance(q, plan):
+    """The output rule answers for an instance 2 that q does not run."""
+    return _edit_output(q, lambda outputs: {1: outputs[1], 2: 0})
+
+
+def _output_not_a_bit(q, plan):
+    """The output rule answers True, which equals 1 but is no int bit."""
+    return _edit_output(q, lambda outputs: {1: True})
+
+
 def _in_instance(u, mutate):
     """Build the plan with instance u's protocol mutated, live only once
     the compiled spec is built."""
@@ -257,6 +279,11 @@ MUTATIONS = {
     "xor-block-bit-flip": _Mutation(_flip_block_bit, ALL),
     "schedule-drops-a-speaker": _Mutation(_drop_a_speaker, ALL,
                                           starves=True),
+    "output-drops-an-instance": _Mutation(
+        _in_instance(1, _output_drops_an_instance), ALL),
+    "output-extra-instance": _Mutation(
+        _in_instance(1, _output_extra_instance), ALL),
+    "output-not-a-bit": _Mutation(_in_instance(1, _output_not_a_bit), ALL),
 }
 
 CASES = [(m, p) for m, mutation in MUTATIONS.items() for p in mutation.plans]
@@ -321,3 +348,28 @@ def test_instance_rule_results_are_never_reused():
     except NofmuxError:
         return
     assert not report.correct
+
+
+OUTPUT_FAULTS = {"output-drops-an-instance": _output_drops_an_instance,
+                 "output-extra-instance": _output_extra_instance,
+                 "output-not-a-bit": _output_not_a_bit}
+
+
+@pytest.mark.parametrize("plan", ALL)
+@pytest.mark.parametrize("fault", OUTPUT_FAULTS)
+def test_output_faults_fail_as_they_do_uncompiled(fault, plan, monkeypatch):
+    """A compiled run refuses a faulty instance output with the error, and
+    the text, of a run of that instance protocol alone."""
+    p = _plan(plan)
+    spec = MUTATIONS[fault].build(p, monkeypatch)
+    x = InputMatrix.from_index(0, spec.k, spec.n, spec.ell)
+    with pytest.raises(NofmuxError) as compiled:
+        run_protocol(spec, x)
+    q = p.protocols[0]
+    bad_next, bad_output = OUTPUT_FAULTS[fault](q, p)
+    alone = dataclasses.replace(q, next_message=bad_next,
+                                output_rule=bad_output)
+    with pytest.raises(NofmuxError) as uncompiled:
+        run_protocol(alone, InputMatrix.single(*x.rows[0]))
+    assert type(compiled.value) is type(uncompiled.value)
+    assert str(compiled.value) == str(uncompiled.value)

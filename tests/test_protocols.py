@@ -48,6 +48,17 @@ def test_blockwise_requires_divisibility():
         corollary1_protocol(random_truth_table(3, 1, 1), ell=3)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: corollary1_protocol(random_truth_table(3, 1, 0), 0),
+    lambda: eq_two_bit_protocol(3, 0),
+], ids=["corollary1-ell-0", "eq2-n-0"])
+def test_degenerate_builtins_are_not_made(build):
+    """No spec without an instance or an input bit, whose verdict over its
+    one input of 0 bits would be vacuous."""
+    with pytest.raises(DomainError, match="protocol needs k >= 2, n >= 1"):
+        build()
+
+
 @pytest.mark.parametrize("k,n", [(3, 1), (4, 1), (5, 2)])
 def test_two_bit_equality(k, n):
     _assert_exact(eq_two_bit_protocol(k, n), TruthTable.eq(k, n), 2)
