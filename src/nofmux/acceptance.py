@@ -18,8 +18,7 @@ from .combinatorics import (
     is_multiplexing_set, is_repetitive_set,
 )
 from .compiler import (
-    CompilationPlan, compile_symmetric, multiplex_combine, myopic_combine,
-    predicted_bound,
+    CompilationPlan, compile_symmetric, multiplex_combine, predicted_bound,
 )
 from .core import (
     DEFAULT_BUDGET, NofmuxError, ProtocolSpec, RestrictionGraph, TruthTable,
@@ -188,8 +187,7 @@ def _check_matrix_construction(budget):
 def _check_myopic_combining(budget):
     plan = chained_equality_plan(n=1)
     cert_ok = bool(is_repetitive_set(plan.certificate, plan.perms))
-    compiled = myopic_combine(plan.protocols, plan.perms, plan.certificate,
-                              budget)
+    compiled = multiplex_combine(plan, budget)
     f = TruthTable.eq(5, 1)
     report = exhaustive_verify(compiled, f, predicted_bound=7, budget=budget)
     bound = predicted_bound(plan, budget)

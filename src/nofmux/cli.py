@@ -22,8 +22,7 @@ from .combinatorics import (
     is_filtering_set, is_multiplexing_set, is_repetitive_set,
 )
 from .compiler import (
-    CompilationPlan, compile_symmetric, multiplex_combine, myopic_combine,
-    predicted_bound,
+    CompilationPlan, compile_symmetric, multiplex_combine, predicted_bound,
 )
 from .core import (
     BudgetError, DEFAULT_BUDGET, DomainError, NofmuxError, ProtocolSpec,
@@ -160,10 +159,9 @@ def _load_plan(path: str, budget: int):
     if theorem_path == "t2":
         compiled, plan, _ = compile_symmetric(base, f, graph, triplets, ell,
                                               budget)
-        return compiled, plan, f
-    if theorem_path == "t1":
-        return multiplex_combine(plan), plan, f
-    return myopic_combine(protos, perms, triplets, budget), plan, f
+    else:
+        compiled = multiplex_combine(plan, budget)
+    return compiled, plan, f
 
 
 def _write_json(path: str | None, data) -> None:

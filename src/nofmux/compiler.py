@@ -1,6 +1,6 @@
-"""Multiplexing transformations: permuted protocols, the general combiner,
-the symmetric-function pipeline, and the myopic one-way combiner, all
-built on one XOR-multiplexing engine.
+"""Multiplexing transformations: permuted protocols, the one combiner for
+every theorem path and the symmetric-function pipeline, all built on one
+XOR-multiplexing engine.
 
 A compiled protocol is an ordinary NOF board protocol.  Each party honestly
 reconstructs any message that was XOR-combined for it: it recomputes the
@@ -41,14 +41,14 @@ class Bound(NamedTuple):
 
 @dataclass(frozen=True)
 class CompilationPlan:
-    """Everything the combiners need, plus enough to predict the bound.
+    """Everything the combiner needs, plus enough to predict the bound.
 
     ``path`` is one of t1 (general multiplexing), t2 (symmetric-function
     pipeline), t3 (myopic, possibly non-oblivious), c2 (the same as t3).
     A plan is valid or it is not made: its protocols run their path's model
     under its permutations, and its certificate is a multiplexing set
-    (t1/t2) or a repetitive set (t3/c2).  So the combiners and the bounds
-    read only plans that compile.
+    (t1/t2) or a repetitive set (t3/c2).  The checks that need a sweep
+    budget, of t3/c2 chains, run in the combiner, and the bound runs them.
     """
 
     path: str
@@ -210,12 +210,13 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
     others = {(gi, c): tuple(d for d in g.components if d != c)
               for gi, g in enumerate(groups) for c in g.components}
     # (u, protocol u, whether (u, p) is whole) for each instance u that
-    # party p runs in round t: all, but a myopic chain only at position t;
-    # no record hides elsewhere, as myopic_combine sweeps every chain
+    # party p runs in round t <= its own rounds: all, but a myopic chain
+    # only at position t; no record hides elsewhere, as _groups sweeps
+    # every chain
     active = {(t, p): tuple((u, q, (u, p) in whole)
                             for u, q in enumerate(protos, start=1)
-                            if q.model is not Model.MYOPIC
-                            or q.chain[t - 1] == p)
+                            if t <= q.rounds and (q.model is not Model.MYOPIC
+                                                  or q.chain[t - 1] == p))
               for t in range(1, rounds + 1) for p in range(1, k + 1)}
     answers = {p: tuple((u, q, (u, p) in whole)
                         for u, q in enumerate(protos, start=1)
@@ -383,20 +384,57 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
 
 
 # ---------------------------------------------------------------------------
-# Theorem 1 path: combine point-to-point protocols on the board
+# the one combiner: t1/t2 point-to-point protocols and t3/c2 myopic chains
 # ---------------------------------------------------------------------------
 
-def multiplex_combine(plan: CompilationPlan) -> ProtocolSpec:
+def multiplex_combine(plan: CompilationPlan,
+                      budget: int = DEFAULT_BUDGET) -> ProtocolSpec:
     """Run all instance protocols round-synchronously on the board, writing
-    each certified message group as a single XOR word."""
-    if plan.path not in ("t1", "t2"):
-        raise DomainError("multiplex_combine handles the t1/t2 paths")
+    each certified message group as a single XOR word; on t3/c2 it is
+    zero-padded to its longest message, and a recipient self-delimits its
+    own by its chain's prefix-free code, so chains need not be oblivious."""
+    protos = plan.protocols
+    if plan.path in ("t1", "t2"):
+        name, rounds = plan.path, protos[0].rounds
+    else:  # a c2 plan compiles as the t3 plan it is
+        name, rounds = "t3", protos[0].k - 1
+    return _mux_engine(f"mux-{name}[{protos[0].name} x{plan.ell}]", protos,
+                       _groups(plan, budget), rounds)
+
+
+def _groups(plan: CompilationPlan, budget: int) -> list[_Group]:
+    """The plan's certified message groups.  On t3/c2 every chain is first
+    swept uncompiled, so one that breaks the runner's legality rule raises
+    its run's LegalityError, even in no triplet, and a chain in a block
+    must be prefix-free at its position, else DomainError."""
     protos, perms = plan.protocols, plan.perms
-    groups = [_Group(t.a, ((1, t.b),) + tuple((r, perms[r - 1](t.b))
-                                              for r in sorted(t.R)))
-              for t in plan.certificate]
-    return _mux_engine(f"mux-{plan.path}[{protos[0].name} x{plan.ell}]",
-                       protos, groups, protos[0].rounds)
+    if plan.path in ("t1", "t2"):
+        return [_Group(t.a, ((1, t.b),) + tuple((r, perms[r - 1](t.b))
+                                                for r in sorted(t.R)))
+                for t in plan.certificate]
+    for q in protos:
+        _position_sweep(q, budget)
+    for t in plan.certificate:
+        for u in sorted(t.U):
+            if not check_prefix_free(protos[u - 1], t.pos, budget):
+                raise DomainError(
+                    f"protocol {u} is not prefix-free at position {t.pos}")
+    return [_Group(t.s, tuple((u, perms[u - 1](t.pos + 1))
+                              for u in sorted(t.U)),
+                   {u: messages_at_position(protos[u - 1], t.pos, budget)
+                    for u in t.U})
+            for t in plan.certificate]
+
+
+def myopic_combine(protocols: Sequence[ProtocolSpec],
+                   perms: Sequence[Permutation],
+                   triplets: Sequence[BindingTriplet],
+                   budget: int = DEFAULT_BUDGET) -> ProtocolSpec:
+    """``multiplex_combine`` of the t3 plan of these chains, permutations
+    and triplets."""
+    protos = tuple(protocols)
+    return multiplex_combine(CompilationPlan(
+        "t3", len(protos), tuple(perms), protos, tuple(triplets)), budget)
 
 
 def compile_symmetric(spec: ProtocolSpec, f: TruthTable,
@@ -430,46 +468,6 @@ def compile_symmetric(spec: ProtocolSpec, f: TruthTable,
 
 
 # ---------------------------------------------------------------------------
-# Theorem 3 path: combine myopic chains
-# ---------------------------------------------------------------------------
-
-def myopic_combine(protocols: Sequence[ProtocolSpec],
-                   perms: Sequence[Permutation],
-                   triplets: Sequence[BindingTriplet],
-                   budget: int = DEFAULT_BUDGET) -> ProtocolSpec:
-    """Combine one-way chains on the board, XOR-writing the certified
-    position messages zero-padded to the longest of their group.  The t3
-    plan it builds checks the chains, their permutations and the triplets.
-
-    Every chain is swept uncompiled, so one that breaks the runner's
-    legality rule fails here with its run's LegalityError, even in no
-    triplet.  A legal chain writes at most one record a round, from the
-    round's speaker, the one party the engine runs it for.
-    Chains need not be oblivious: a recipient self-delimits its message by
-    its chain's prefix-free code at the block's position.  The compiled
-    protocol declares a pattern when every chain does.
-    """
-    protos = tuple(protocols)
-    plan = CompilationPlan("t3", len(protos), tuple(perms), protos,
-                           tuple(triplets))
-    perms, cert = plan.perms, plan.certificate
-    for q in protos:
-        _position_sweep(q, budget)
-    for t in cert:
-        for u in sorted(t.U):
-            if not check_prefix_free(protos[u - 1], t.pos, budget):
-                raise DomainError(
-                    f"protocol {u} is not prefix-free at position {t.pos}")
-    groups = [_Group(t.s, tuple((u, perms[u - 1](t.pos + 1))
-                                for u in sorted(t.U)),
-                     {u: messages_at_position(protos[u - 1], t.pos, budget)
-                      for u in t.U})
-              for t in cert]
-    return _mux_engine(f"mux-t3[{protos[0].name} x{plan.ell}]", protos,
-                       groups, protos[0].k - 1)
-
-
-# ---------------------------------------------------------------------------
 # predicted bounds
 # ---------------------------------------------------------------------------
 
@@ -489,7 +487,9 @@ def _theorem3_bound(plan: CompilationPlan, budget: int) -> Bound:
     """Worst case over all inputs of total chain cost minus the per-group
     (total - max) savings.  The cost depends on an input only through each
     chain's per-position cost row, so it is evaluated over the product of
-    each chain's distinct rows."""
+    each chain's distinct rows.  The combiner's checks run first, so a
+    plan that does not compile is not priced."""
+    _groups(plan, budget)
     # rows[u-1] holds chain u's distinct per-position costs, from the sweep
     # the prefix checks share, which guards its own budget
     rows = [_position_sweep(q, budget).costs for q in plan.protocols]

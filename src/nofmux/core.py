@@ -633,11 +633,13 @@ def _messages(spec: ProtocolSpec, sender: int, rnd: int,
 
 def _outputs(result, ell: int) -> dict[int, int]:
     """The one output check: ``result`` as {instance: bit} if its keys are
-    exactly 1..ell and its values the int 0 or 1, else DomainError."""
+    the ints 1..ell and its values the int 0 or 1, else DomainError."""
     if (type(result) is not dict and not isinstance(result, Mapping)
             or result.keys() != set(range(1, ell + 1))):
         raise DomainError("output rule must produce one bit per instance")
-    for bit in result.values():
+    for u, bit in result.items():
+        if type(u) is not int:  # True or 1.0 equals an instance
+            raise DomainError("output rule must produce one bit per instance")
         if type(bit) is not int or bit not in (0, 1):
             raise DomainError(f"output {bit!r} is not a bit")
     return dict(result)

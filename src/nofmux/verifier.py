@@ -341,7 +341,7 @@ def _position_sweep(spec: ProtocolSpec, budget: int) -> _Positions:
     """Sweep a myopic chain once and keep, per position, its distinct
     messages, and the distinct rows of per-position message lengths: a
     legal run has one record at most in round t, position t's message.
-    The result is kept on the spec, so ``myopic_combine``, which sweeps
+    The result is kept on the spec, so the t3 combiner, which sweeps
     every chain for legality and reads its prefix checks and block codes
     here, and the t3 bound share one sweep per chain; its runs go to the
     spec's table of runs, which ``measure_cost`` reads.  The budget guard

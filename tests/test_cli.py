@@ -511,3 +511,29 @@ def test_compile_t3_plan_within_a_small_budget(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert (data["predicted_bound_total"],
             data["predicted_bound_payload"]) == (7, 5)
+
+
+def test_verify_c2_plan_writes_the_t3_report(tmp_path, capsys):
+    """A c2 plan compiles as the t3 plan it is: same report, t3 name."""
+    reports = []
+    for path in ("t3", "c2"):
+        plan, out = tmp_path / f"{path}.json", tmp_path / f"{path}-out.json"
+        plan.write_text(json.dumps({**_T3_PLAN, "path": path}))
+        assert main(["verify", str(plan), "--out", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["protocol"].startswith("mux-t3[")
+
+
+def test_compile_checks_a_t3_certificate_once(tmp_path, capsys,
+                                              monkeypatch):
+    """The combiner compiles the plan the file builds, so the plan's
+    repetitive set is checked once, not again by the combiner."""
+    calls = []
+    check = nofmux.compiler.is_repetitive_set
+    monkeypatch.setattr(nofmux.compiler, "is_repetitive_set",
+                        lambda *args: calls.append(args) or check(*args))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(_T3_PLAN))
+    assert main(["compile", str(plan)]) == 0
+    assert len(calls) == 1

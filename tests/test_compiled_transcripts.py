@@ -114,6 +114,17 @@ def test_compiled_transcripts_match_pins(name):
     assert transcript_digest(build()) == want
 
 
+@pytest.mark.parametrize("path", ["t3", "c2"])
+def test_chained_pin_holds_for_the_plan_compiled_directly(path):
+    """``myopic_combine`` is shorthand for ``multiplex_combine`` of a t3
+    plan, so the plan itself, or its c2 copy, compiles to the pinned
+    transcripts under the t3 name."""
+    plan = dataclasses.replace(chained_equality_plan(n=1), path=path)
+    spec = multiplex_combine(plan)
+    assert spec.name.startswith("mux-t3[")
+    assert transcript_digest(spec) == PINNED["t3-chained-equality"][1]
+
+
 
 # Computed with the runner that rebuilt the visibility graph on every run;
 # example1 and corollary1 with their own constructors, before they became

@@ -2,6 +2,7 @@
 combiner, the symmetric pipeline, the myopic combiner, and bounds."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -338,6 +339,24 @@ def test_myopic_combiner_single_chain_no_certificate():
     assert report.measured_worst_case == 3
 
 
+def test_each_chain_runs_only_in_its_own_rounds():
+    """A chain that stops before round k - 1 is asked in no later round:
+    its output party, which outputs whether it heard anything, hears
+    nothing alone, and so nothing compiled.  On every input each instance
+    outputs what its chain outputs alone."""
+    plan = chained_equality_plan(n=1)
+    short = dataclasses.replace(
+        plan.protocols[0], rounds=2, pattern=None,
+        output_rule=lambda views, inbox, board: {1: int(len(inbox) > 0)})
+    plan = dataclasses.replace(plan, protocols=(short,) + plan.protocols[1:])
+    compiled = multiplex_combine(plan)
+    for x in enumerate_inputs(5, 1, 2):
+        outputs = run_protocol(compiled, x).outputs
+        for u, q in enumerate(plan.protocols, start=1):
+            alone = run_protocol(q, InputMatrix.single(*x.rows[u - 1]))
+            assert outputs[u] == alone.outputs[1], (x.rows, u)
+
+
 def _out_of_turn(pi):
     """The equality chain along ``pi`` whose position-3 party also sends
     its successor a bit in round 1, when only position 1 may speak."""
@@ -490,8 +509,9 @@ def test_myopic_combiner_rejects_bad_certificate():
         myopic_combine(plan.protocols, plan.perms, bad)
 
 
-def test_myopic_combiner_rejects_prefix_violation():
-    """A chain emitting {"0", "01"} at one position cannot be multiplexed."""
+def _sloppy_plan():
+    """(chains, perms, certificate): a chain emitting {"0", "01"} at the
+    block's position 2, beside an equality chain."""
     pi = Permutation((1, 2, 3, 4, 5))
 
     def next_message(p, t, views, inbox, board):
@@ -505,11 +525,26 @@ def test_myopic_combiner_rejects_prefix_violation():
         name="sloppy", model=Model.MYOPIC, k=5, n=1, ell=1, rounds=4,
         next_message=next_message, output_party=5, chain=pi.image,
         output_rule=lambda views, inbox, board: {1: 0})
-    other = myopic_eq_chain(5, 1, Permutation((4, 2, 5, 1, 3)))
-    with pytest.raises(DomainError):
-        myopic_combine((sloppy, other),
-                       (pi, Permutation((4, 2, 5, 1, 3))),
-                       (BindingTriplet(2, 2, frozenset({1, 2})),))
+    other = Permutation((4, 2, 5, 1, 3))
+    return ((sloppy, myopic_eq_chain(5, 1, other)), (pi, other),
+            (BindingTriplet(2, 2, frozenset({1, 2})),))
+
+
+def test_myopic_combiner_rejects_prefix_violation():
+    """A chain emitting {"0", "01"} at one position cannot be multiplexed."""
+    with pytest.raises(DomainError, match=re.escape(
+            "protocol 1 is not prefix-free at position 2")):
+        myopic_combine(*_sloppy_plan())
+
+
+def test_a_plan_that_does_not_compile_is_not_priced():
+    """The t3 bound runs the combiner's checks first, so it refuses the
+    plan the combiner refuses, with the combiner's error."""
+    protos, perms, cert = _sloppy_plan()
+    plan = CompilationPlan("t3", 2, perms, protos, cert)
+    with pytest.raises(DomainError, match=re.escape(
+            "protocol 1 is not prefix-free at position 2")):
+        predicted_bound(plan)
 
 
 def test_myopic_ragged_lengths_are_padded_and_decoded():

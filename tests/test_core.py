@@ -576,8 +576,10 @@ def test_domain_size_refuses_a_negative_shape():
     ({1: 2}, "output 2 is not a bit"),
     ({1: True}, "output True is not a bit"),
     ({1: 1.0}, "output 1.0 is not a bit"),
+    ({True: 1}, "output rule must produce one bit per instance"),
+    ({1.0: 0}, "output rule must produce one bit per instance"),
 ], ids=["list", "none", "int", "empty", "extra-instance", "two", "bool",
-        "float"])
+        "float", "bool-key", "float-key"])
 def test_runner_refuses_a_malformed_output(result, error):
     spec = dataclasses.replace(
         _one_round(Model.NOF_BOARD, lambda p, t, views, inbox, board: []),

@@ -1,6 +1,8 @@
 """Dead-code check: every top-level function and class of the package, and
 every method and property of its classes other than dunders, is named
-somewhere outside its own definition and the package's export list."""
+somewhere outside its own definition and the package's export list; and
+no module of the package but its export list imports a name it never
+uses."""
 
 import ast
 import functools
@@ -80,3 +82,40 @@ def test_every_method_and_property_is_used():
     _, members, used = _names()
     unused = sorted(members - used)
     assert unused == [], f"named nowhere outside its definition: {unused}"
+
+
+def _patched():
+    """module -> the names ``bench/tracing.py`` patches in it, read from
+    its ``PATCH_POINTS`` and ``SPEC_FACTORIES`` without importing it."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    patched = {}
+    for stmt in tree.body:
+        if (isinstance(stmt, ast.Assign)
+                and getattr(stmt.targets[0], "id", None)
+                in ("PATCH_POINTS", "SPEC_FACTORIES")):
+            for module, path, _ in ast.literal_eval(stmt.value):
+                patched.setdefault(module, set()).add(path.split(".")[0])
+    return patched
+
+
+def test_every_import_is_used():
+    """A name a module imports is read in it, or patched in it by the
+    benchmark's tracer, which is why ``compiler`` imports
+    ``run_protocol``."""
+    patched = _patched()
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        kept = patched.get(f"nofmux.{path.stem}", set())
+        unused += [f"{path.stem}.{name}"
+                   for name in sorted(imported - read - kept)]
+    assert unused == [], f"imported and never used: {unused}"
