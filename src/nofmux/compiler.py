@@ -25,8 +25,8 @@ from .core import (
     BOARD, BudgetError, CertificateError, CommPattern, DEFAULT_BUDGET,
     DomainError, LegalityError, Model, ObliviousnessError,
     Outgoing, ProtocolSpec, RestrictionGraph, RobustnessError,
-    SoundnessError, TruthTable, _messages, _outputs, _record,
-    board_outputs, check_symmetry, xor_bits,
+    SoundnessError, TruthTable, _board_bits, _messages, _outputs, _record,
+    check_symmetry, xor_bits,
     run_protocol,  # not called here: bench/tracing.py patches it as a span
 )
 from .verifier import (_domain, _oracle_sweep, _position_sweep, _runs,
@@ -106,41 +106,46 @@ class CompilationPlan:
 
 def permute_protocol(spec: ProtocolSpec, pi: Permutation) -> ProtocolSpec:
     """pi(Q): party i plays pi^-1(i)'s role, so the message i -> j on x
-    equals Q's message pi^-1(i) -> pi^-1(j) on pi^-1(x)."""
+    equals Q's message pi^-1(i) -> pi^-1(j) on pi^-1(x).  Only recipients
+    in 1..k are relabeled; any other is left for the runner to refuse, as
+    in a run of Q.  The result records (Q, pi) in its ``_memo``, so the mux
+    engine runs Q's rules under its own relabeling tables; a
+    ``dataclasses.replace`` copy has no record and runs these rules."""
     if spec.model is not Model.NOF_GRAPH or spec.ell != 1:
         raise DomainError("only single-instance point-to-point protocols "
                           "can be permuted")
     graph = permute_graph(spec.graph, pi)  # rejects pi of another arity
     to_orig = (0,) + pi.inverse().image
+    to_new = {j: pi(j) for j in range(1, spec.k + 1)}
     # original party -> (q, pi(q)) for each q it sees
     sees = {orig: tuple((q, pi(q)) for q in seen)
             for orig, seen in enumerate(spec._seen, start=1)}
 
-    def original_inbox(orig, inbox):
-        # relabelled checked records: to_orig is a bijection, so the
-        # sender still differs from the recipient
-        return tuple(_record(r.round, to_orig[r.sender], orig, r.payload,
-                             r.protocol, r.tag) for r in inbox)
+    def original(orig, views, inbox):
+        # orig's view and inbox in spec's labels; to_orig is a bijection,
+        # so a checked record's sender still differs from its recipient
+        return {1: views[1]._project(orig, sees[orig])}, tuple(
+            _record(r.round, to_orig[r.sender], orig, r.payload)
+            for r in inbox) if inbox else ()
 
     def next_message(p, t, views, inbox, board):
-        orig = to_orig[p]
-        outs = spec.next_message(
-            orig, t, {1: views[1]._project(orig, sees[orig])},
-            original_inbox(orig, inbox) if inbox else (), None)
-        return [Outgoing(pi(o.recipient), o.payload, o.protocol, o.tag)
-                for o in outs] if outs else []
+        outs = spec.next_message(to_orig[p], t,
+                                 *original(to_orig[p], views, inbox), None)
+        return [Outgoing(to_new.get(o.recipient, o.recipient), o.payload,
+                         o.protocol, o.tag) for o in outs] if outs else []
 
     def output_rule(views, inbox, board):
-        orig = spec.output_party
-        return spec.output_rule({1: views[1]._project(orig, sees[orig])},
-                                original_inbox(orig, inbox), None)
+        return spec.output_rule(*original(spec.output_party, views, inbox),
+                                None)
 
-    return ProtocolSpec(
+    permuted = ProtocolSpec(
         name=f"{spec.name}@{pi.image}", model=Model.NOF_GRAPH, k=spec.k,
         n=spec.n, ell=1, rounds=spec.rounds, next_message=next_message,
         output_party=pi(spec.output_party), output_rule=output_rule,
         graph=graph,
         pattern=None if spec.pattern is None else spec.pattern.permuted(pi))
+    permuted._memo["permuted"] = (spec, pi)
+    return permuted
 
 
 def check_pattern_robust(base: ProtocolSpec, other: ProtocolSpec,
@@ -164,6 +169,11 @@ class _Group(NamedTuple):
     codes: dict[int, frozenset[str]] | None = None
 
 
+def _hidden(exc: LegalityError) -> SoundnessError:
+    return SoundnessError(f"reconstruction needs an input hidden from the "
+                          f"demultiplexing party: {exc}")
+
+
 def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
                 groups: Sequence[_Group], rounds: int) -> ProtocolSpec:
     """Run the single-instance protocols round-synchronously on the board.
@@ -180,48 +190,62 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
 
     The demux schedule is fixed here, once: which board records feed each
     (instance, party) inbox, which instances each party runs in each round,
-    which components each block recipient recomputes, and every framing
-    tag.  The compiled spec carries the speaker schedule, the parties that
-    run an instance in each round, so the runner asks no silent party.
+    which components each block recipient recomputes, every framing tag,
+    and how an instance that ``permute_protocol`` made runs its base's
+    rules: roles, views, inbox records and recipients relabeled by its pi.
+    The compiled spec carries the speaker schedule, the parties that run
+    an instance in each round, so the runner asks no silent party.
     """
     k, n, ell = protos[0].k, protos[0].n, len(protos)
-    # (j, j) for each j whose input party p sees in instance u
-    reads = {(u, p): tuple((j, j) for j in seen)
-             for u, q in enumerate(protos, start=1)
-             for p, seen in enumerate(q._seen, start=1)}
-    # (instance, party) pairs whose base graph hides nothing more from the
-    # party than the board does: its own view passes through unchanged
-    whole = {key for key, pairs_read in reads.items()
-             if len(pairs_read) == k - 1}
+    # instance u runs base[u]'s rules: permute_protocol's base, relabeled
+    # by its pi, for a spec it made, else itself under identity tables.
+    # plays[u, p]: p's role in them, (j, src) for each x_j that it sees
+    # there, read from the board's x_src, and those pairs for its own
+    # view, None if the board view passes unchanged
+    base, to_base, to_new, plays = {}, {}, {}, {}
+    for u, q in enumerate(protos, start=1):
+        base[u], pi = q._memo.get("permuted", (q, None))
+        same, pi = pi is None, pi or Permutation.identity(k)
+        to_new[u] = None if same else {j: pi(j) for j in range(1, k + 1)}
+        to_base[u] = (0,) + pi.inverse().image
+        for p, role in enumerate(to_base[u][1:], start=1):
+            pairs = tuple((j, pi(j)) for j in base[u]._seen[role - 1])
+            plays[u, p] = (role, pairs,
+                           None if same and len(pairs) == k - 1 else pairs)
     # framing tags: to:<recipient>, mux:<group> and out:<instance>
     to_tags = {p: f"to:{p}" for p in range(1, k + 1)}
     mux_tags = [f"mux:{gi}" for gi in range(len(groups))]
     out_tags = {u: f"out:{u}" for u in range(1, ell + 1)}
     consumed = {(u, g.sender, rcpt): gi for gi, g in enumerate(groups)
                 for (u, rcpt) in g.components}
-    # (protocol, tag) of a board record -> the (instance, party, group)
-    # inboxes it feeds; a plain record has no group
-    feeds = {(u, to_tags[p]): ((u, p, None),)
+    # (protocol, tag) of a board record -> ((instance, party), group, base
+    # labels, recipient label) of each inbox it feeds: a plain record
+    # becomes an inbox record in the base's labels, a block stays as it is
+    feeds = {(u, to_tags[p]): (((u, p), None, to_base[u], to_base[u][p]),)
              for u in range(1, ell + 1) for p in range(1, k + 1)}
     for gi, g in enumerate(groups):
         feeds[None, mux_tags[gi]] = tuple(
-            (u, p, gi) for u, p in dict.fromkeys(g.components))
-    # the components recipient ``p`` recomputes to strip block gi
-    others = {(gi, c): tuple(d for d in g.components if d != c)
+            ((u, p), gi, None, p) for u, p in dict.fromkeys(g.components))
+    # the components, each (instance, recipient in its base's labels),
+    # that recipient ``c`` recomputes to strip block gi.  A block's sender
+    # keeps its label: a good triplet's permutations all fix it
+    others = {(gi, c): tuple((u, to_base[u][rcpt]) for u, rcpt
+                             in g.components if (u, rcpt) != c)
               for gi, g in enumerate(groups) for c in g.components}
-    # (u, protocol u, whether (u, p) is whole) for each instance u that
-    # party p runs in round t <= its own rounds: all, but a myopic chain
-    # only at position t; no record hides elsewhere, as _groups sweeps
-    # every chain
-    active = {(t, p): tuple((u, q, (u, p) in whole)
-                            for u, q in enumerate(protos, start=1)
-                            if t <= q.rounds and (q.model is not Model.MYOPIC
-                                                  or q.chain[t - 1] == p))
-              for t in range(1, rounds + 1) for p in range(1, k + 1)}
-    answers = {p: tuple((u, q, (u, p) in whole)
-                        for u, q in enumerate(protos, start=1)
-                        if q.output_party == p) for p in range(1, k + 1)}
+    # (u, protocol u, base rule, role, own pairs, recipient labels) for
+    # each instance u that party p runs in round t <= its own rounds: all,
+    # but a myopic chain only at position t; no record hides elsewhere, as
+    # _groups sweeps every chain.  In the output round, round rounds + 1,
+    # the rule is the output rule of each instance that p answers for
+    active = {(t, p): tuple(
+        (u, q, base[u].next_message if t <= rounds else base[u].output_rule,
+         plays[u, p][0], plays[u, p][2], to_new[u])
+        for u, q in enumerate(protos, start=1)
+        if (q.output_party == p if t > rounds else t <= q.rounds
+            and (q.model is not Model.MYOPIC or q.chain[t - 1] == p)))
+        for t in range(1, rounds + 2) for p in range(1, k + 1)}
     last = ((), {})  # the last board indexed, and its index
+    new = tuple.__new__
 
     def index(board):
         """(instance, party) -> [(record, group)] in board order: a plain
@@ -237,30 +261,26 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
         if board[:start] != known:
             fed, start = {}, 0
         for r in board[start:]:
-            for u, p, gi in feeds.get((r.protocol, r.tag), ()):
-                fed.setdefault((u, p), []).append(
-                    (r, gi) if gi is not None
-                    else (_record(r.round, r.sender, p, r.payload), None))
+            for key, gi, labels, rcpt in feeds.get((r.protocol, r.tag), ()):
+                fed.setdefault(key, []).append(
+                    (r, gi) if gi is not None else (_record(
+                        r.round, labels[r.sender], rcpt, r.payload), None))
         last = (board, fed)
         return fed
 
-    def sub_view(party, u, views):
-        """``party``'s view of instance u, from the working party's views."""
+    def recompute(u, sender, to, rnd, fed, views):
+        """Instance u's round-``rnd`` message from ``sender`` to ``to``, a
+        party of its base rules, as the demultiplexing party recomputes
+        it; as in ``_messages``, which checked this result when it was
+        sent, an empty message is none."""
+        owner, pairs, _ = plays[u, sender]
+        history = inbox(sender, u, owner, rnd, fed, views)
         try:
-            return views[u]._project(party, reads[u, party])
+            view = views[u]._project(owner, pairs)
         except LegalityError as exc:
-            raise SoundnessError(
-                f"reconstruction needs an input hidden from the "
-                f"demultiplexing party: {exc}") from exc
-
-    def recompute(u, sender, recipient, rnd, fed, views):
-        """Instance u's round-``rnd`` message sender -> recipient, as the
-        demultiplexing party recomputes it; as in ``_messages``, which
-        checked this result when it was sent, an empty message is none."""
-        history = inbox(sender, u, rnd, fed, views)
-        for o in protos[u - 1].next_message(
-                sender, rnd, {1: sub_view(sender, u, views)}, history, None):
-            if o.recipient == recipient and o.payload:
+            raise _hidden(exc) from exc
+        for o in base[u].next_message(owner, rnd, {1: view}, history, None):
+            if o.recipient == to and o.payload:
                 return o.payload
         return ""
 
@@ -268,8 +288,8 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
         """``party``'s own instance-u message out of a block."""
         g, width = groups[gi], len(block.payload)
         rest = block.payload
-        for (u2, rcpt2) in others[gi, (u, party)]:
-            other = recompute(u2, g.sender, rcpt2, block.round, fed, views)
+        for (u2, to2) in others[gi, (u, party)]:
+            other = recompute(u2, g.sender, to2, block.round, fed, views)
             if len(other) > width or (g.codes is None
                                       and len(other) != width):
                 raise SoundnessError("combined messages have unequal "
@@ -286,11 +306,12 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
             raise SoundnessError("nonzero bits past the decoded message")
         return matches[0]
 
-    def inbox(party, u, upto, fed, views, demux=None):
-        """Messages ``party`` received in instance u before round
-        ``upto``; XOR blocks are stripped only when ``demux`` (``strip``)
-        is given.  It is passed, not called by name, so the closures hold
-        no reference cycle and a dropped compiled spec is freed at once."""
+    def inbox(party, u, owner, upto, fed, views, demux=None):
+        """Messages ``party`` (``owner`` in instance u's base rules) got in
+        instance u before round ``upto``, in those rules' labels; blocks are
+        stripped only when ``demux`` (``strip``) is given.  It is passed,
+        not called by name, so the closures hold no reference cycle and a
+        dropped compiled spec is freed at once."""
         entries = fed.get((u, party))
         if not entries:
             return ()
@@ -305,54 +326,58 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
                     f"history of party {party} in instance {u} was "
                     f"multiplexed; certificate should forbid this")
             else:
-                record = _record(r.round, groups[gi].sender, party,
+                record = _record(r.round, groups[gi].sender, owner,
                                  demux(party, u, r, gi, fed, views))
             msgs.append(record)
         return tuple(msgs)
 
     def next_message(p, t, views, board_inbox, board):
-        instances = answers[p] if t > rounds else active[t, p]
-        if not instances:
-            return ()
-        fed = index(board) if board else {}
-        if t > rounds:
-            outs = []
-            for u, q, own in instances:
-                bits = _outputs(q.output_rule(
-                    {1: views[u] if own else sub_view(p, u, views)},
-                    inbox(p, u, t, fed, views, strip), None), 1)
-                outs.append(Outgoing(BOARD, str(bits[1]), u, out_tags[u]))
-            return outs
+        fed = index(board) if board else None
         staged: dict[int, dict[tuple[int, int], str]] = {}
         results = []
-        for u, q, own in instances:
-            history = inbox(p, u, t, fed, views, strip) if fed else ()
-            outs = q.next_message(
-                p, t, {1: views[u] if own else sub_view(p, u, views)},
-                history, None)
+        for u, q, rule, owner, pairs, relabel in active[t, p]:
+            history = inbox(p, u, owner, t, fed, views, strip) if fed else ()
+            view = views[u]
+            if pairs is not None:
+                try:
+                    view = view._project(owner, pairs)
+                except LegalityError as exc:
+                    raise _hidden(exc) from exc
+            if t > rounds:
+                bits = _outputs(rule({1: view}, history, None), 1)
+                results.append(new(Outgoing, (BOARD, str(bits[1]), u,
+                                              out_tags[u])))
+                continue
+            outs = rule(owner, t, {1: view}, history, None)
             if not outs:
                 continue
-            for o in _messages(q, p, t, outs):
-                gi = consumed.get((u, p, o.recipient))
+            if relabel is not None:
+                # only a recipient in 1..k is relabeled: _messages refuses
+                # any other, as in a run of the instance alone
+                outs = [new(Outgoing, (relabel.get(j, j), w, pr, tag))
+                        for j, w, pr, tag in outs]
+            for j, w, _, _ in _messages(q, p, t, outs):
+                gi = consumed.get((u, p, j))
                 if gi is None:
-                    results.append(Outgoing(BOARD, o.payload, u,
-                                            to_tags[o.recipient]))
+                    results.append(new(Outgoing, (BOARD, w, u, to_tags[j])))
                 else:
-                    staged.setdefault(gi, {})[u, o.recipient] = o.payload
-        for gi, parts in sorted(staged.items()):
+                    staged.setdefault(gi, {})[u, j] = w
+        for gi, parts in sorted(staged.items()) if staged else ():
             payloads = [parts.get(c, "") for c in groups[gi].components]
-            width = max(len(w) for w in payloads)
+            width = max(map(len, payloads))
             if groups[gi].codes is None and any(w and len(w) != width
                                                 for w in payloads):
                 raise SoundnessError("combined messages have unequal lengths")
-            acc = "0" * width
+            acc = 0  # _messages staged no empty payload, so width >= 1
             for w in payloads:
-                acc = xor_bits(acc, w.ljust(width, "0"))
-            results.append(Outgoing(BOARD, acc, None, mux_tags[gi]))
+                acc ^= int(w.ljust(width, "0"), 2)
+            results.append(new(Outgoing, (BOARD, f"{acc:0{width}b}", None,
+                                          mux_tags[gi])))
         return results
 
     def output_rule(views, board_inbox, board):
-        return board_outputs(board, ell)
+        # the runner's _outputs is the one check of these bits
+        return _board_bits(board)
 
     pattern = None
     if all(q.pattern is not None for q in protos):
@@ -375,8 +400,7 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
     # the runner asks only the parties that run an instance in a round,
     # and in the output round those that answer for one
     speakers = tuple(tuple(p for p in range(1, k + 1) if active[t, p])
-                     for t in range(1, rounds + 1))
-    speakers += (tuple(p for p in range(1, k + 1) if answers[p]),)
+                     for t in range(1, rounds + 2))
     return ProtocolSpec(
         name=name, model=Model.NOF_BOARD, k=k, n=n, ell=ell,
         rounds=rounds + 1, next_message=next_message, output_party=1,

@@ -540,8 +540,8 @@ class ProtocolSpec:
 
     @cached_property
     def _memo(self) -> dict:
-        """Input-independent results that the verifier derives from this
-        protocol once and shares between callers."""
+        """Input-independent results derived from this protocol once and
+        shared between callers, and ``permute_protocol``'s record of it."""
         return {}
 
 
@@ -776,6 +776,12 @@ def check_symmetry(f: TruthTable, pi: Sequence[int] | None = None) -> bool:
 
 def board_outputs(board: Sequence[MessageRecord], ell: int) -> dict[int, int]:
     """Per-instance bits of the ``out:<i>`` records, else DomainError."""
+    return _outputs(_board_bits(board), ell)
+
+
+def _board_bits(board: Sequence[MessageRecord]) -> dict[int, int]:
+    """{instance: bit} of the ``out:<i>`` records, for ``_outputs`` to
+    check; a malformed or second record raises DomainError."""
     outputs: dict[int, int] = {}
     for r in board:
         if r.tag and r.tag.startswith("out:"):
@@ -786,4 +792,4 @@ def board_outputs(board: Sequence[MessageRecord], ell: int) -> dict[int, int]:
             if int(u) in outputs:
                 raise DomainError(f"two output records for instance {u}")
             outputs[int(u)] = int(r.payload)
-    return _outputs(outputs, ell)
+    return outputs

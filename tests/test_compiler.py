@@ -2,17 +2,22 @@
 combiner, the symmetric pipeline, the myopic combiner, and bounds."""
 
 import dataclasses
+import random
 import re
+import sys
+import types
 
 import pytest
 
+import nofmux.compiler
+import nofmux.core
 from nofmux import (
     BindingTriplet, BudgetError, CertificateError, CommPattern,
     CompilationPlan, DEFAULT_BUDGET, DomainError, FilteringTriplet,
     InputMatrix, LegalityError, Model, MultiplexTriplet, NofmuxError,
     ObliviousnessError, Outgoing, Permutation, ProtocolSpec, RestrictionGraph,
     RobustnessError, SoundnessError, TruthTable,
-    check_pattern_robust, compile_symmetric, enumerate_inputs,
+    check_pattern_robust, compile_symmetric, domain_size, enumerate_inputs,
     eq_multi_protocol,
     example3_filtering_triplets, example3_graph, example3_protocol,
     exhaustive_verify, measure_cost, multiplex_combine, myopic_combine,
@@ -94,6 +99,145 @@ def test_check_pattern_robust():
 
 
 # ---------------------------------------------------------------------------
+# permuted instances in the mux engine
+# ---------------------------------------------------------------------------
+
+def _equality_plan(ell, base=None):
+    """The equality pipeline's plan (k=5, n=1)."""
+    return compile_symmetric(
+        base or example3_protocol(5, 1), TruthTable.eq(5, 1),
+        example3_graph(5), example3_filtering_triplets(5), ell=ell)[1]
+
+
+def _plain_plan(base):
+    """A t1 plan of ``base`` and of its relabeling by a row that moves
+    both ends of its message P_5 -> P_2, with no groups: each message is
+    a plain record."""
+    pi = Permutation((1, 4, 3, 5, 2))
+    return CompilationPlan("t1", 2, (Permutation.identity(5), pi),
+                           (base, permute_protocol(base, pi)), (),
+                           example3_graph(5))
+
+
+def _folded_and_opaque(plan):
+    """The plan compiled as built, with its permuted instances run under
+    the engine's relabeling tables, and compiled opaque, with each swapped
+    for a ``dataclasses.replace`` copy that keeps no record of its base
+    and runs permute_protocol's rules."""
+    opaque = tuple(dataclasses.replace(q) if "permuted" in q._memo else q
+                   for q in plan.protocols)
+    assert any(a is not b for a, b in zip(opaque, plan.protocols))
+    return multiplex_combine(plan), multiplex_combine(
+        dataclasses.replace(plan, protocols=opaque))
+
+
+def _permute_frames(spec, indices):
+    """Frames of permute_protocol's closures that runs of ``spec`` on
+    ``indices`` open."""
+    codes, todo = set(), [permute_protocol.__code__]
+    while todo:
+        for const in todo.pop().co_consts:
+            if isinstance(const, types.CodeType):
+                codes.add(const)
+                todo.append(const)
+    frames = 0
+
+    def profile(frame, event, arg):
+        nonlocal frames
+        frames += event == "call" and frame.f_code in codes
+
+    sys.setprofile(profile)
+    try:
+        for idx in indices:
+            run_protocol(spec, InputMatrix.from_index(idx, spec.k, spec.n,
+                                                      spec.ell))
+    finally:
+        sys.setprofile(None)
+    return frames
+
+
+def test_permute_records_its_base_for_the_engine():
+    spec, pi = example3_protocol(5, 1), Permutation((1, 4, 3, 2, 5))
+    permuted = permute_protocol(spec, pi)
+    base, row = permuted._memo["permuted"]
+    assert base is spec and row == pi
+    assert "permuted" not in dataclasses.replace(permuted)._memo
+
+
+def _logged(spec, log):
+    """``spec`` with rules that append to ``log`` all they are handed."""
+    def next_message(p, t, views, inbox, board):
+        log.append((p, t, views[1].owner, tuple(views[1].items()), inbox))
+        return spec.next_message(p, t, views, inbox, board)
+
+    def output_rule(views, inbox, board):
+        log.append((views[1].owner, tuple(views[1].items()), inbox))
+        return spec.output_rule(views, inbox, board)
+
+    return dataclasses.replace(spec, next_message=next_message,
+                               output_rule=output_rule)
+
+
+@pytest.mark.parametrize("plan, sample", [
+    (lambda base: _equality_plan(2, base), None),
+    (lambda base: _equality_plan(3, base), 1 << 12),
+    (_plain_plan, None),
+], ids=["t2-ell2", "t2-ell3-sampled", "t1-plain"])
+def test_relabeling_tables_keep_every_transcript(plan, sample):
+    """Records, framing included, and outputs match those of the opaque
+    compilation, and so does every base rule call's party, round, view
+    and inbox: on every input, or on a seeded sample of the ell=3 one."""
+    log = []
+    folded, opaque = _folded_and_opaque(
+        plan(_logged(example3_protocol(5, 1), log)))
+    indices = range(domain_size(5, 1, folded.ell))
+    if sample is not None:
+        indices = random.Random(0).sample(indices, sample)
+    for idx in indices:
+        x = InputMatrix.from_index(idx, 5, 1, folded.ell)
+        log.clear()
+        want, asked = run_protocol(opaque, x), log[:]
+        log.clear()
+        got = run_protocol(folded, x)
+        assert got.records == want.records, idx
+        assert got.outputs == want.outputs, idx
+        assert log == asked, idx
+
+
+def test_permuted_instances_run_no_relabeling_wrapper():
+    folded, opaque = _folded_and_opaque(_equality_plan(2))
+    indices = range(domain_size(5, 1, 2))
+    assert _permute_frames(folded, indices) == 0
+    assert _permute_frames(opaque, indices) > 0
+
+
+def test_relabeling_tables_ask_the_base_as_often_as_the_wrappers():
+    """20 base rule calls per ell=3 input, the traced benchmark's bound,
+    whether the engine relabels or permute_protocol's rules do."""
+    log = []
+    plan = _equality_plan(3, _logged(example3_protocol(5, 1), log))
+    for spec in _folded_and_opaque(plan):
+        log.clear()
+        for idx in range(1024):
+            run_protocol(spec, InputMatrix.from_index(idx, 5, 1, 3))
+        assert len(log) == 20 * 1024
+
+
+def test_a_compiled_run_checks_its_outputs_once(monkeypatch):
+    """One check per instance output, and the runner's one check of the
+    board's out: records: ell + 1 in all."""
+    spec = multiplex_combine(_equality_plan(3))
+    checked = []
+    for module in (nofmux.core, nofmux.compiler):
+        def counted(result, ell, check=module._outputs):
+            checked.append(ell)
+            return check(result, ell)
+        monkeypatch.setattr(module, "_outputs", counted)
+    run_protocol(spec, InputMatrix.from_index(0, 5, 1, 3))
+    assert sorted(checked) == [1, 1, 1, 3]
+
+
+# ---------------------------------------------------------------------------
 # board combiner (general path)
 # ---------------------------------------------------------------------------
 
@@ -109,9 +253,9 @@ def test_forwarding_pipeline_exact_cost_and_outputs():
 
 
 def _forwarding_with_extra(sender, outgoing):
-    """The n=1 forwarding pipeline, compiled, and its first instance
-    protocol Q^1, whose party ``sender`` sends ``outgoing`` in round 1 in
-    place of any message of its own to the same recipient."""
+    """Runs of the n=1 forwarding pipeline, compiled, and of its first
+    instance protocol Q^1, whose party ``sender`` sends ``outgoing`` in
+    round 1 in place of any message of its own to the same recipient."""
     plan, _ = forwarding_pipeline_plan(n=1)
     base = plan.protocols[0]
 
@@ -123,30 +267,65 @@ def _forwarding_with_extra(sender, outgoing):
         return outs
 
     leaky = dataclasses.replace(base, next_message=next_message)
-    return leaky, multiplex_combine(dataclasses.replace(
-        plan, protocols=(leaky,) + plan.protocols[1:]))
+    return (multiplex_combine(dataclasses.replace(
+        plan, protocols=(leaky,) + plan.protocols[1:])), leaky)
 
 
-@pytest.mark.parametrize("sender, outgoing, exc, error", [
-    (1, Outgoing(1, "1"), LegalityError, "party cannot send to itself"),
-    (1, Outgoing(2, "2"), DomainError, "payload '2' is not a bit string"),
-    (1, Outgoing(1, "2"), DomainError, "payload '2' is not a bit string"),
-    (1, Outgoing(9, "1"), LegalityError, "recipient 9 out of range"),
+def _equality_with_extra(sender, outgoing):
+    """Runs of example3 (k=5, n=1) whose party ``sender`` sends only
+    ``outgoing`` in round 1, of its relabeling by the ell=2 equality
+    pipeline's second row, and of that pipeline with the relabeled
+    protocol as its second instance."""
+    plan = _equality_plan(2)
+    honest = plan.protocols[0]
+
+    def next_message(p, t, views, inbox, board):
+        outs = honest.next_message(p, t, views, inbox, board)
+        return [outgoing] if t == 1 and p == sender else outs
+
+    bad = dataclasses.replace(honest, next_message=next_message)
+    permuted = permute_protocol(bad, plan.perms[1])
+    return (multiplex_combine(dataclasses.replace(
+        plan, protocols=(honest, permuted))), permuted, bad)
+
+
+@pytest.mark.parametrize("runs, sender, outgoing, exc, error", [
+    (_forwarding_with_extra, 1, Outgoing(1, "1"), LegalityError,
+     "party cannot send to itself"),
+    (_forwarding_with_extra, 1, Outgoing(2, "2"), DomainError,
+     "payload '2' is not a bit string"),
+    (_forwarding_with_extra, 1, Outgoing(1, "2"), DomainError,
+     "payload '2' is not a bit string"),
+    (_forwarding_with_extra, 1, Outgoing(9, "1"), LegalityError,
+     "recipient 9 out of range"),
     # no inbox of the compiled run reads P_4's instance-1 messages
-    (4, Outgoing(4, "1"), LegalityError, "party cannot send to itself"),
+    (_forwarding_with_extra, 4, Outgoing(4, "1"), LegalityError,
+     "party cannot send to itself"),
     # P_4's message to P_1 lies in the XOR group (4, 1, {2, 3})
-    (4, Outgoing(1, "2"), DomainError, "payload '2' is not a bit string"),
+    (_forwarding_with_extra, 4, Outgoing(1, "2"), DomainError,
+     "payload '2' is not a bit string"),
+    # the second row fixes P_5, so each of these is P_5's in all three runs
+    (_equality_with_extra, 5, Outgoing(9, "1"), LegalityError,
+     "recipient 9 out of range"),
+    (_equality_with_extra, 5, Outgoing(0, "1"), LegalityError,
+     "recipient 0 out of range"),
+    (_equality_with_extra, 5, Outgoing(-1, "1"), LegalityError,
+     "recipient -1 out of range"),
+    (_equality_with_extra, 5, Outgoing(5, "1"), LegalityError,
+     "party cannot send to itself"),
 ], ids=["self-addressed", "non-bit", "non-bit-and-self-addressed",
-        "recipient-out-of-range", "unread-self-send", "non-bit-in-block"])
-def test_combiner_rejects_malformed_instance_message(sender, outgoing, exc,
-                                                     error):
+        "recipient-out-of-range", "unread-self-send", "non-bit-in-block",
+        "permuted-recipient-out-of-range", "permuted-recipient-board",
+        "permuted-recipient-negative", "permuted-self-send"])
+def test_combiner_rejects_malformed_instance_message(runs, sender, outgoing,
+                                                     exc, error):
     """A compiled run checks every instance message when it is sent, with
     the runner's own check under the instance protocol's model: the same
-    exception, with the same message, as an uncompiled run of Q^1."""
-    q, spec = _forwarding_with_extra(sender, outgoing)
-    for run, ell in ((spec, spec.ell), (q, 1)):
+    exception, with the same message, as an uncompiled run of the faulty
+    instance protocol, and of the base protocol it relabels, if any."""
+    for run in runs(sender, outgoing):
         with pytest.raises(NofmuxError) as err:
-            run_protocol(run, InputMatrix.from_index(0, 4, 1, ell))
+            run_protocol(run, InputMatrix.from_index(0, run.k, 1, run.ell))
         assert type(err.value) is exc
         assert str(err.value) == error
 
