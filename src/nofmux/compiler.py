@@ -106,11 +106,12 @@ class CompilationPlan:
 
 def permute_protocol(spec: ProtocolSpec, pi: Permutation) -> ProtocolSpec:
     """pi(Q): party i plays pi^-1(i)'s role, so the message i -> j on x
-    equals Q's message pi^-1(i) -> pi^-1(j) on pi^-1(x).  Only recipients
-    in 1..k are relabeled; any other is left for the runner to refuse, as
-    in a run of Q.  The result records (Q, pi) in its ``_memo``, so the mux
-    engine runs Q's rules under its own relabeling tables; a
-    ``dataclasses.replace`` copy has no record and runs these rules."""
+    equals Q's message pi^-1(i) -> pi^-1(j) on pi^-1(x).  Only int
+    recipients in 1..k are relabeled; any other is left for the runner to
+    refuse, as in a run of Q.  The result records (Q, pi) in its
+    ``_memo``, so the mux engine runs Q's rules under its own relabeling
+    tables; a ``dataclasses.replace`` copy has no record and runs these
+    rules."""
     if spec.model is not Model.NOF_GRAPH or spec.ell != 1:
         raise DomainError("only single-instance point-to-point protocols "
                           "can be permuted")
@@ -131,8 +132,8 @@ def permute_protocol(spec: ProtocolSpec, pi: Permutation) -> ProtocolSpec:
     def next_message(p, t, views, inbox, board):
         outs = spec.next_message(to_orig[p], t,
                                  *original(to_orig[p], views, inbox), None)
-        return [Outgoing(to_new.get(o.recipient, o.recipient), o.payload,
-                         o.protocol, o.tag) for o in outs] if outs else []
+        return [Outgoing(to_new.get(j, j) if type(j) is int else j, w, pr,
+                         tag) for j, w, pr, tag in outs] if outs else []
 
     def output_rule(views, inbox, board):
         return spec.output_rule(*original(spec.output_party, views, inbox),
@@ -352,9 +353,10 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
             if not outs:
                 continue
             if relabel is not None:
-                # only a recipient in 1..k is relabeled: _messages refuses
-                # any other, as in a run of the instance alone
-                outs = [new(Outgoing, (relabel.get(j, j), w, pr, tag))
+                # only an int recipient in 1..k is relabeled: _messages
+                # refuses any other, as in a run of the instance alone
+                outs = [new(Outgoing, (relabel.get(j, j) if type(j) is int
+                                       else j, w, pr, tag))
                         for j, w, pr, tag in outs]
             for j, w, _, _ in _messages(q, p, t, outs):
                 gi = consumed.get((u, p, j))

@@ -90,7 +90,7 @@ def xor_bits(a: str, b: str) -> str:
 
 
 def _check_bits(payload: str) -> None:
-    if payload.strip("01"):
+    if not isinstance(payload, str) or payload.strip("01"):
         raise DomainError(f"payload {payload!r} is not a bit string")
 
 
@@ -343,12 +343,12 @@ class View:
                  reads: Sequence[tuple[int, int]]) -> "View":
         """``owner``'s view with x_q read from this view's x_src for each
         (q, src) in ``reads``; a hidden src raises the LegalityError that
-        reading it would, on every call.  The result is kept per (owner,
-        reads)."""
-        key = (owner, reads)
-        view = self._projections.get(key)
-        if view is not None:
-            return view
+        reading it would, on every call.  The result is kept by the id of
+        ``reads``, a tuple the caller keeps, so a hit hashes no pairs; the
+        entry holds the tuple, so the id stays its own."""
+        entry = self._projections.get(id(reads))
+        if entry is not None and entry[1].owner == owner:
+            return entry[1]
         visible = self._visible
         try:
             projected = {q: visible[src] for q, src in reads}
@@ -357,7 +357,8 @@ class View:
                                 f"x_{exc.args[0]}") from None
         if owner in projected:
             raise LegalityError(f"party {owner} cannot see its own forehead")
-        view = self._projections[key] = View._of(owner, projected)
+        view = View._of(owner, projected)
+        self._projections[id(reads)] = (reads, view)
         return view
 
     def parties(self) -> frozenset[int]:
@@ -592,13 +593,14 @@ def _messages(spec: ProtocolSpec, sender: int, rnd: int,
     channel, carry information.  One message is returned as it is."""
     on_board, myopic = spec.model is _ON_BOARD, spec.model is _MYOPIC
     for recipient, payload, protocol, tag in outs:
-        if payload.strip("01"):
+        if type(payload) is not str or payload.strip("01"):
             _check_bits(payload)  # raises the bit-string DomainError
+        # a recipient is an int: True, 2.0 or "2" names no party
         if on_board:
-            if recipient == BOARD:
+            if recipient == BOARD and type(recipient) is int:
                 continue
             raise LegalityError("board protocols may only write on the board")
-        if not (1 <= recipient <= spec.k):
+        if type(recipient) is not int or not 1 <= recipient <= spec.k:
             raise LegalityError(f"recipient {recipient} out of range")
         if recipient == sender:
             raise LegalityError("party cannot send to itself")
@@ -635,7 +637,7 @@ def _outputs(result, ell: int) -> dict[int, int]:
     """The one output check: ``result`` as {instance: bit} if its keys are
     the ints 1..ell and its values the int 0 or 1, else DomainError."""
     if (type(result) is not dict and not isinstance(result, Mapping)
-            or result.keys() != set(range(1, ell + 1))):
+            or result.keys() != _instances(ell)):
         raise DomainError("output rule must produce one bit per instance")
     for u, bit in result.items():
         if type(u) is not int:  # True or 1.0 equals an instance
@@ -643,6 +645,11 @@ def _outputs(result, ell: int) -> dict[int, int]:
         if type(bit) is not int or bit not in (0, 1):
             raise DomainError(f"output {bit!r} is not a bit")
     return dict(result)
+
+
+@cache
+def _instances(ell: int) -> frozenset[int]:
+    return frozenset(range(1, ell + 1))
 
 
 def _round_order(r: MessageRecord) -> tuple[int, int, int]:

@@ -7,24 +7,17 @@ them are oblivious, so every one declares its communication pattern.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .combinatorics import Permutation, permute_graph
 from .core import (
     BOARD, CommPattern, DomainError, Model, Outgoing, ProtocolSpec,
-    RestrictionGraph, TruthTable, _json_int, board_outputs, xor_bits,
+    RestrictionGraph, TruthTable, _board_bits, _json_int,
 )
 
 
 def _all_equal(values: Iterable[str]) -> int:
     return int(len(set(values)) <= 1)
-
-
-def _xor_many(words: Sequence[str]) -> str:
-    acc = words[0]
-    for w in words[1:]:
-        acc = xor_bits(acc, w)
-    return acc
 
 
 def _board_round_payload(board, rnd: int, sender: int) -> str:
@@ -35,7 +28,7 @@ def _board_round_payload(board, rnd: int, sender: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# board-model direct-sum protocols
+# board-model direct-sum protocols: the runner checks their out:<i> bits
 # ---------------------------------------------------------------------------
 
 def _blockwise(f: TruthTable, ell: int, name: str) -> ProtocolSpec:
@@ -58,27 +51,34 @@ def _blockwise(f: TruthTable, ell: int, name: str) -> ProtocolSpec:
             cells.append((b * (k - 1) + i, i))
             lengths[(2 * b + 2, i, BOARD)] = 1
 
+    values, width = f.values, f"0{n}b"
+    out_tags = {u: f"out:{u}" for u in range(1, ell + 1)}
+
     def next_message(p, t, views, inbox, board):
+        # words as integers: one XOR per cell, f's index built MSB first
         if t % 2:
             if p == k:
-                word = _xor_many([views[i][j] for i, j in diagonal[t]])
-                return [Outgoing(BOARD, word)]
+                acc = 0
+                for i, j in diagonal[t]:
+                    acc ^= int(views[i][j], 2)
+                return [Outgoing(BOARD, format(acc, width))]
         elif p < k:
             cells = diagonal[t]
             inst = cells[p - 1][0]
-            masked = _board_round_payload(board, t - 1, k)
-            own = _xor_many([masked, *[views[i][j] for i, j in cells
-                                       if j != p]])
-            args = [own if j == p else views[inst][j]
-                    for j in range(1, k + 1)]
-            return [Outgoing(BOARD, str(f.evaluate(args)),
-                             tag=f"out:{inst}")]
+            own = int(_board_round_payload(board, t - 1, k), 2)
+            for i, j in cells:
+                if j != p:
+                    own ^= int(views[i][j], 2)
+            row, idx = views[inst], 0
+            for j in range(1, k + 1):
+                idx = idx << n | (own if j == p else int(row[j], 2))
+            return [Outgoing(BOARD, str(values[idx]), tag=out_tags[inst])]
         return []
 
     return ProtocolSpec(
         name=name, model=Model.NOF_BOARD, k=k, n=n, ell=ell,
         rounds=2 * blocks, next_message=next_message, output_party=k,
-        output_rule=lambda views, inbox, board: board_outputs(board, ell),
+        output_rule=lambda views, inbox, board: _board_bits(board),
         pattern=CommPattern(lengths, 2 * blocks))
 
 
@@ -111,7 +111,7 @@ def eq_two_bit_protocol(k: int, n: int) -> ProtocolSpec:
     return ProtocolSpec(
         name=f"eq2[k={k},n={n}]", model=Model.NOF_BOARD, k=k, n=n, ell=1,
         rounds=2, next_message=next_message, output_party=k,
-        output_rule=lambda views, inbox, board: board_outputs(board, 1),
+        output_rule=lambda views, inbox, board: _board_bits(board),
         pattern=CommPattern({(1, k - 1, BOARD): 1, (2, k, BOARD): 1}, 2))
 
 
@@ -153,7 +153,7 @@ def eq_multi_protocol(k: int, n: int) -> ProtocolSpec:
     return ProtocolSpec(
         name=f"eq-multi[k={k},n={n}]", model=Model.NOF_BOARD, k=k, n=n,
         ell=ell, rounds=2, next_message=next_message, output_party=k,
-        output_rule=lambda views, inbox, board: board_outputs(board, ell),
+        output_rule=lambda views, inbox, board: _board_bits(board),
         pattern=CommPattern(lengths, 2))
 
 

@@ -261,14 +261,15 @@ def measure_cost(spec: ProtocolSpec, budget: int = DEFAULT_BUDGET) -> CostReport
     If the protocol declares a pattern, every input is checked against it.
     Runs come from, and go to, the spec's table of runs.
     """
-    part, per_round = _Partial(), {}
+    part, per_round, folded = _Partial(), {}, None
     for _, t, costs in sweep(spec, _domain(spec, budget), _runs(spec)):
         part.tally(t, costs)
-        rounds: dict[int, int] = {}
-        for (rnd, _, _), bits in costs[0].items():
-            rounds[rnd] = rounds.get(rnd, 0) + bits
-        for rnd, bits in rounds.items():
-            per_round[rnd] = max(per_round.get(rnd, 0), bits)
+        if costs[0] is not folded:  # as in _Partial.tally, once per dict
+            folded, rounds = costs[0], {}
+            for (rnd, _, _), bits in folded.items():
+                rounds[rnd] = rounds.get(rnd, 0) + bits
+            for rnd, bits in rounds.items():
+                per_round[rnd] = max(per_round.get(rnd, 0), bits)
     return CostReport(part.worst, part.channels, per_round,
                       domain_size(spec.k, spec.n, spec.ell))
 

@@ -133,6 +133,11 @@ PINNED_UNCOMPILED = {
     "lemma1-k4-n1": (
         lambda: lemma1_protocol(random_truth_table(4, 1, seed=0)),
         "63202ecb184ade1edc57777c7c6927ca061943c3a0ae6ca8f18449647c15b77f"),
+    # two-bit words, so the broadcast XOR keeps its zero padding; computed
+    # with the blockwise rules that XORed bit strings, before integers
+    "lemma1-k3-n2": (
+        lambda: lemma1_protocol(random_truth_table(3, 2, seed=1)),
+        "eaf12d03c28b3e42e3f57c34d87aa7d06b353dec8a432890b0f4ea33a82d5e83"),
     "corollary1-k3-n1-ell4": (
         lambda: corollary1_protocol(random_truth_table(3, 1, seed=10), ell=4),
         "676a22aa1dc1b99134fa5f16c8b1b0a5d78a6e6465659cf21eeadf7ad94791dc"),

@@ -313,10 +313,21 @@ def _equality_with_extra(sender, outgoing):
      "recipient -1 out of range"),
     (_equality_with_extra, 5, Outgoing(5, "1"), LegalityError,
      "party cannot send to itself"),
+    # an ill-typed field: no run relabels it, and each refuses it alike
+    (_equality_with_extra, 5, Outgoing(2, 1), DomainError,
+     "payload 1 is not a bit string"),
+    (_equality_with_extra, 5, Outgoing("2", "1"), LegalityError,
+     "recipient 2 out of range"),
+    (_equality_with_extra, 5, Outgoing(True, "1"), LegalityError,
+     "recipient True out of range"),
+    (_equality_with_extra, 5, Outgoing(2.0, "1"), LegalityError,
+     "recipient 2.0 out of range"),
 ], ids=["self-addressed", "non-bit", "non-bit-and-self-addressed",
         "recipient-out-of-range", "unread-self-send", "non-bit-in-block",
         "permuted-recipient-out-of-range", "permuted-recipient-board",
-        "permuted-recipient-negative", "permuted-self-send"])
+        "permuted-recipient-negative", "permuted-self-send",
+        "permuted-int-payload", "permuted-str-recipient",
+        "permuted-bool-recipient", "permuted-float-recipient"])
 def test_combiner_rejects_malformed_instance_message(runs, sender, outgoing,
                                                      exc, error):
     """A compiled run checks every instance message when it is sent, with

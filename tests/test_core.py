@@ -10,11 +10,11 @@ from hypothesis import given, strategies as st
 
 from nofmux import (
     BOARD, BudgetError, CommPattern, DomainError, InputMatrix, LegalityError,
-    Model, ObliviousnessError, Outgoing, ProtocolSpec, RestrictionGraph,
-    TruthTable, View, bits_to_int, board_outputs, check_replay_determinism,
-    check_symmetry, compute_view, domain_size, enumerate_inputs,
-    eq_two_bit_protocol, int_to_bits, measure_cost, random_truth_table,
-    run_protocol, xor_bits,
+    Model, NofmuxError, ObliviousnessError, Outgoing, ProtocolSpec,
+    RestrictionGraph, TruthTable, View, bits_to_int, board_outputs,
+    check_replay_determinism, check_symmetry, compute_view, domain_size,
+    enumerate_inputs, eq_two_bit_protocol, int_to_bits, measure_cost,
+    random_truth_table, run_protocol, xor_bits,
 )
 from nofmux import core
 from nofmux.core import MessageRecord, _record
@@ -224,13 +224,24 @@ def test_view_denies_invisible_parties():
 
 
 def test_projection_is_kept_and_a_hidden_one_raises_every_time():
+    """A projection is kept by the identity of its reads tuple: a hit is
+    the same view, an equal but distinct tuple or another owner gets a
+    correct projection, and a hidden read is never kept."""
     v = View(2, {1: "01", 3: "10"})
-    seen = v._project(3, ((1, 1), (2, 3)))
+    reads = ((1, 1), (2, 3))
+    seen = v._project(3, reads)
     assert seen == View(3, {1: "01", 2: "10"})
-    assert v._project(3, ((1, 1), (2, 3))) is seen
-    for _ in range(2):
+    assert v._project(3, reads) is seen
+    equal = tuple(list(reads))
+    assert equal is not reads and v._project(3, equal) == seen
+    assert v._project(4, reads) == View(4, {1: "01", 2: "10"})
+    with pytest.raises(LegalityError, match="party 1 cannot see its own"):
+        v._project(1, reads)
+    assert v._project(3, reads) == seen
+    hidden = ((3, 3), (2, 2))
+    for _ in range(3):
         with pytest.raises(LegalityError, match="party 2 cannot see x_2"):
-            v._project(1, ((3, 3), (2, 2)))
+            v._project(1, hidden)
     with pytest.raises(LegalityError, match="cannot see its own forehead"):
         v._project(1, ((1, 1),))
 
@@ -626,6 +637,48 @@ def test_runner_rejects_non_bit_payload():
     spec = _one_round(Model.NOF_BOARD, next_message)
     with pytest.raises(DomainError, match="'01x' is not a bit string"):
         run_protocol(spec, InputMatrix.single("00", "01", "10"))
+
+
+_ON_BOARD_ONLY = "board protocols may only write on the board"
+
+
+@pytest.mark.parametrize("model, recipient, payload, exc, error", [
+    (Model.NOF_BOARD, BOARD, 1, DomainError, "payload 1 is not a bit string"),
+    (Model.NOF_BOARD, BOARD, None, DomainError,
+     "payload None is not a bit string"),
+    (Model.NOF_BOARD, False, "1", LegalityError, _ON_BOARD_ONLY),
+    (Model.NOF_BOARD, 0.0, "1", LegalityError, _ON_BOARD_ONLY),
+    (Model.NOF_BOARD, "0", "1", LegalityError, _ON_BOARD_ONLY),
+    (Model.NOF_BOARD, None, "1", LegalityError, _ON_BOARD_ONLY),
+    (Model.NOF_GRAPH, 2, 1, DomainError, "payload 1 is not a bit string"),
+    (Model.NOF_GRAPH, True, "1", LegalityError, "recipient True out of range"),
+    (Model.NOF_GRAPH, 2.0, "1", LegalityError, "recipient 2.0 out of range"),
+    (Model.NOF_GRAPH, "2", "1", LegalityError, "recipient 2 out of range"),
+    (Model.NOF_GRAPH, None, "1", LegalityError, "recipient None out of range"),
+    (Model.MYOPIC, 2, b"1", DomainError, "payload b'1' is not a bit string"),
+    (Model.MYOPIC, True, "1", LegalityError, "recipient True out of range"),
+    (Model.MYOPIC, 2.0, "1", LegalityError, "recipient 2.0 out of range"),
+], ids=["board-int-payload", "board-none-payload", "board-false",
+        "board-float", "board-str", "board-none", "graph-int-payload",
+        "graph-true", "graph-float", "graph-str", "graph-none",
+        "myopic-bytes-payload", "myopic-true", "myopic-float"])
+def test_runner_refuses_an_ill_typed_message(model, recipient, payload, exc,
+                                             error):
+    """A payload that is not a str, or a recipient that is not an int,
+    fails as a NofmuxError, never as a TypeError or AttributeError, and a
+    recipient equal to a party without being an int names none.  Party 1
+    may send a bit to party 2 in round 1 in every model here."""
+    def next_message(p, t, views, inbox, board):
+        return [Outgoing(recipient, payload)] if p == 1 else []
+
+    spec = dataclasses.replace(
+        _one_round(Model.NOF_BOARD, next_message), model=model,
+        graph=RestrictionGraph.complete(3) if model is Model.NOF_GRAPH
+        else None, chain=(1, 2, 3) if model is Model.MYOPIC else None)
+    with pytest.raises(NofmuxError) as err:
+        run_protocol(spec, InputMatrix.single("00", "01", "10"))
+    assert type(err.value) is exc
+    assert str(err.value) == error
 
 
 def test_message_record_checks_its_fields():

@@ -4,13 +4,15 @@ costs, pattern conformance, and view legality."""
 import pytest
 
 from nofmux import (
-    DomainError, Permutation, TruthTable, check_view_legality,
+    DomainError, InputMatrix, Permutation, TruthTable, check_view_legality,
     enumerate_inputs, eq_multi_protocol, eq_two_bit_protocol,
     example1_graph, example1_permutation, example1_protocol,
     example1_variant, example3_filtering_triplets, example3_graph,
     example3_protocol, exhaustive_verify, is_filtering_set, lemma1_protocol,
     corollary1_protocol, measure_cost, myopic_eq_chain, random_truth_table,
+    run_protocol,
 )
+from nofmux import core
 from nofmux.protocols import FAMILIES
 
 
@@ -74,6 +76,29 @@ def test_multi_instance_equality(k, n):
 def test_multi_instance_equality_needs_odd_k():
     with pytest.raises(DomainError):
         eq_multi_protocol(4, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lemma1_protocol(random_truth_table(3, 2, 1)),
+    lambda: corollary1_protocol(random_truth_table(3, 1, 10), 4),
+    lambda: eq_two_bit_protocol(4, 1),
+    lambda: eq_multi_protocol(5, 1),
+], ids=["lemma1", "corollary1", "eq2", "eq-multi"])
+def test_board_builtins_leave_the_one_output_check_to_the_runner(
+        build, monkeypatch):
+    """A board built-in's output rule hands over the board's bits, so a
+    run passes its outputs through ``_outputs`` once, in the runner."""
+    spec, calls = build(), []
+    check = core._outputs
+
+    def counted(result, ell):
+        calls.append(ell)
+        return check(result, ell)
+
+    monkeypatch.setattr(core, "_outputs", counted)
+    x = InputMatrix.from_index(5, spec.k, spec.n, spec.ell)
+    assert run_protocol(spec, x).outputs.keys() == set(range(1, spec.ell + 1))
+    assert calls == [spec.ell]
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,21 @@ def test_every_sweep_guards_its_budget_and_checks_the_pattern(name):
         SWEEPS[name](wrong)
 
 
+@pytest.mark.parametrize("spec", list(acceptance._legality_configs()),
+                         ids=lambda spec: spec.name)
+def test_measure_cost_per_round_is_the_fold_of_every_transcript(spec):
+    """``measure_cost`` folds a pattern's lengths once, not once per input:
+    its per-round maxima are those of a fold over every run's costs."""
+    want: dict[int, int] = {}
+    for x in enumerate_inputs(spec.k, spec.n, spec.ell):
+        rounds: dict[int, int] = {}
+        for (rnd, _, _), bits in run_protocol(spec, x).costs()[0].items():
+            rounds[rnd] = rounds.get(rnd, 0) + bits
+        for rnd, bits in rounds.items():
+            want[rnd] = max(want.get(rnd, 0), bits)
+    assert measure_cost(spec).per_round == want
+
+
 # ---------------------------------------------------------------------------
 # view legality fuzzing
 # ---------------------------------------------------------------------------
