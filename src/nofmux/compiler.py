@@ -175,6 +175,10 @@ def _hidden(exc: LegalityError) -> SoundnessError:
                           f"demultiplexing party: {exc}")
 
 
+# the most plain writes one compiled spec keeps for reuse
+_WRITE_CAP = 4096
+
+
 def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
                 groups: Sequence[_Group], rounds: int) -> ProtocolSpec:
     """Run the single-instance protocols round-synchronously on the board.
@@ -196,6 +200,16 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
     rules: roles, views, inbox records and recipients relabeled by its pi.
     The compiled spec carries the speaker schedule, the parties that run
     an instance in each round, so the runner asks no silent party.
+
+    Within a run, each (instance, party) history is kept as a tuple of
+    records in the base's labels and extended as each round's board
+    records arrive, so a speaker's history is one lookup.  It is walked,
+    its blocks stripped and its records from round t on dropped, only
+    when a block feeds it or its last record is dated round t or later.
+    Each plain ``to:`` write and each ``out:`` write is built once per
+    (instance, recipient, payload).  A board that does not extend the last
+    one indexed, a new run's, is indexed afresh, and every rule is asked,
+    and its result checked, afresh on every input.
     """
     k, n, ell = protos[0].k, protos[0].n, len(protos)
     # instance u runs base[u]'s rules: permute_protocol's base, relabeled
@@ -219,55 +233,70 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
     out_tags = {u: f"out:{u}" for u in range(1, ell + 1)}
     consumed = {(u, g.sender, rcpt): gi for gi, g in enumerate(groups)
                 for (u, rcpt) in g.components}
-    # (protocol, tag) of a board record -> ((instance, party), group, base
-    # labels, recipient label) of each inbox it feeds: a plain record
-    # becomes an inbox record in the base's labels, a block stays as it is
-    feeds = {(u, to_tags[p]): (((u, p), None, to_base[u], to_base[u][p]),)
+    # (protocol, tag) of a board record -> ((instance, party), base labels,
+    # recipient label) of each inbox it feeds: a plain record becomes an
+    # inbox record in the base's labels, a block (labels None) stays as it
+    # is, and its mux: tag names its group
+    feeds = {(u, to_tags[p]): (((u, p), to_base[u], to_base[u][p]),)
              for u in range(1, ell + 1) for p in range(1, k + 1)}
     for gi, g in enumerate(groups):
         feeds[None, mux_tags[gi]] = tuple(
-            ((u, p), gi, None, p) for u, p in dict.fromkeys(g.components))
+            ((u, p), None, None) for u, p in dict.fromkeys(g.components))
+    block_of = {tag: gi for gi, tag in enumerate(mux_tags)}
     # the components, each (instance, recipient in its base's labels),
     # that recipient ``c`` recomputes to strip block gi.  A block's sender
     # keeps its label: a good triplet's permutations all fix it
     others = {(gi, c): tuple((u, to_base[u][rcpt]) for u, rcpt
                              in g.components if (u, rcpt) != c)
               for gi, g in enumerate(groups) for c in g.components}
-    # (u, protocol u, base rule, role, own pairs, recipient labels) for
-    # each instance u that party p runs in round t <= its own rounds: all,
-    # but a myopic chain only at position t; no record hides elsewhere, as
-    # _groups sweeps every chain.  In the output round, round rounds + 1,
-    # the rule is the output rule of each instance that p answers for
+    # (u, (u, p), protocol u, base rule, role, own pairs, recipient
+    # labels) for each instance u that party p runs in round t <= its own
+    # rounds: all, but a myopic chain only at position t; no record hides
+    # elsewhere, as _groups sweeps every chain.  In the output round, round
+    # rounds + 1, the rule is the output rule of each instance that p
+    # answers for
     active = {(t, p): tuple(
-        (u, q, base[u].next_message if t <= rounds else base[u].output_rule,
+        (u, (u, p), q,
+         base[u].next_message if t <= rounds else base[u].output_rule,
          plays[u, p][0], plays[u, p][2], to_new[u])
         for u, q in enumerate(protos, start=1)
         if (q.output_party == p if t > rounds else t <= q.rounds
             and (q.model is not Model.MYOPIC or q.chain[t - 1] == p)))
         for t in range(1, rounds + 2) for p in range(1, k + 1)}
-    last = ((), {})  # the last board indexed, and its index
     new = tuple.__new__
+    # each plain to: write, built once per (instance, recipient, payload)
+    # while fewer than _WRITE_CAP are kept, and each out: write, per bit
+    writes: dict[tuple[int, int, str], Outgoing] = {}
+    out_writes = {u: tuple(new(Outgoing, (BOARD, str(b), u, out_tags[u]))
+                           for b in (0, 1)) for u in range(1, ell + 1)}
+    last = ((), {}, set())  # the last board indexed and its index
+    unindexed = ({}, frozenset())  # an empty board's, which nothing extends
 
     def index(board):
-        """(instance, party) -> [(record, group)] in board order: a plain
-        record is the inbox record it becomes, a block the board record.
-        A board is immutable, and the runner's next board begins with it,
-        so the index of a board that begins with the last one indexed is
-        that index extended by the new records."""
+        """(instance, party) -> the records that feed its inbox, in board
+        order, and the set of the keys that a block feeds: a plain record
+        is the inbox record it becomes, with no tag, and a block the board
+        record with its mux: tag.  A board is immutable, and the runner's
+        next board begins with it, so the index of a board that begins
+        with the last one indexed, ``last``, is that index extended by the
+        new records; any other board, a new run's, is indexed afresh.  The
+        caller reads ``last`` itself when it holds the board."""
         nonlocal last
-        known, fed = last
-        if board is known:
-            return fed
+        known, fed, blocked = last
         start = len(known)
         if board[:start] != known:
-            fed, start = {}, 0
+            fed, blocked, start = {}, set(), 0
         for r in board[start:]:
-            for key, gi, labels, rcpt in feeds.get((r.protocol, r.tag), ()):
-                fed.setdefault(key, []).append(
-                    (r, gi) if gi is not None else (_record(
-                        r.round, labels[r.sender], rcpt, r.payload), None))
-        last = (board, fed)
-        return fed
+            rnd, sender, _, payload, protocol, tag = r
+            for key, labels, rcpt in feeds.get((protocol, tag), ()):
+                if labels is None:
+                    record = r
+                    blocked.add(key)
+                else:
+                    record = _record(rnd, labels[sender], rcpt, payload)
+                fed[key] = fed.get(key, ()) + (record,)
+        last = (board, fed, blocked)
+        return fed, blocked
 
     def recompute(u, sender, to, rnd, fed, views):
         """Instance u's round-``rnd`` message from ``sender`` to ``to``, a
@@ -313,31 +342,38 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
         stripped only when ``demux`` (``strip``) is given.  It is passed,
         not called by name, so the closures hold no reference cycle and a
         dropped compiled spec is freed at once."""
-        entries = fed.get((u, party))
-        if not entries:
-            return ()
         msgs = []
-        for r, gi in entries:
+        for r in fed.get((u, party), ()):
             if r.round >= upto:
                 break
-            if gi is None:
-                record = r
+            if r.tag is None:
+                msgs.append(r)
             elif not demux:
                 raise SoundnessError(
                     f"history of party {party} in instance {u} was "
                     f"multiplexed; certificate should forbid this")
             else:
-                record = _record(r.round, groups[gi].sender, owner,
-                                 demux(party, u, r, gi, fed, views))
-            msgs.append(record)
+                gi = block_of[r.tag]
+                msgs.append(_record(r.round, groups[gi].sender, owner,
+                                    demux(party, u, r, gi, fed, views)))
         return tuple(msgs)
 
     def next_message(p, t, views, board_inbox, board):
-        fed = index(board) if board else None
+        if not board:
+            fed, blocked = unindexed
+        elif board is last[0]:
+            _, fed, blocked = last
+        else:
+            fed, blocked = index(board)
         staged: dict[int, dict[tuple[int, int], str]] = {}
         results = []
-        for u, q, rule, owner, pairs, relabel in active[t, p]:
-            history = inbox(p, u, owner, t, fed, views, strip) if fed else ()
+        for u, key, q, rule, owner, pairs, relabel in active[t, p]:
+            # p's history is the records that feed it, unless a block does
+            # or the last ([0]: its round) is dated at or after round t;
+            # then inbox strips the blocks and its round filter decides
+            history = fed.get(key, ())
+            if history and (key in blocked or history[-1][0] >= t):
+                history = inbox(p, u, owner, t, fed, views, strip)
             view = views[u]
             if pairs is not None:
                 try:
@@ -346,8 +382,7 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
                     raise _hidden(exc) from exc
             if t > rounds:
                 bits = _outputs(rule({1: view}, history, None), 1)
-                results.append(new(Outgoing, (BOARD, str(bits[1]), u,
-                                              out_tags[u])))
+                results.append(out_writes[u][bits[1]])
                 continue
             outs = rule(owner, t, {1: view}, history, None)
             if not outs:
@@ -361,7 +396,12 @@ def _mux_engine(name: str, protos: tuple[ProtocolSpec, ...],
             for j, w, _, _ in _messages(q, p, t, outs):
                 gi = consumed.get((u, p, j))
                 if gi is None:
-                    results.append(new(Outgoing, (BOARD, w, u, to_tags[j])))
+                    out = writes.get((u, j, w))
+                    if out is None:
+                        out = new(Outgoing, (BOARD, w, u, to_tags[j]))
+                        if len(writes) < _WRITE_CAP:
+                            writes[u, j, w] = out
+                    results.append(out)
                 else:
                     staged.setdefault(gi, {})[u, j] = w
         for gi, parts in sorted(staged.items()) if staged else ():

@@ -89,9 +89,9 @@ def xor_bits(a: str, b: str) -> str:
     return format(int(a, 2) ^ int(b, 2), "b").zfill(len(a)) if a else ""
 
 
-def _check_bits(payload: str) -> None:
+def _check_bits(payload: str, what: str = "payload") -> None:
     if not isinstance(payload, str) or payload.strip("01"):
-        raise DomainError(f"payload {payload!r} is not a bit string")
+        raise DomainError(f"{what} {payload!r} is not a bit string")
 
 
 def _json_int(value, name: str) -> int:
@@ -177,15 +177,21 @@ class InputMatrix:
     rows: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
+        # each type is checked before its len(): an ill-typed argument
+        # fails as a DomainError
+        if not isinstance(self.rows, Sequence):
+            raise DomainError(f"rows {self.rows!r} are not a sequence")
         if len(self.rows) != self.ell:
             raise DomainError("row count does not match instance count")
         for row in self.rows:
+            if not isinstance(row, Sequence):
+                raise DomainError(f"row {row!r} is not a sequence")
             if len(row) != self.k:
                 raise DomainError("row width does not match party count")
             for entry in row:
+                _check_bits(entry, "entry")
                 if len(entry) != self.n:
                     raise DomainError(f"entry {entry!r} is not {self.n} bits")
-                _check_bits(entry)
 
     def x(self, instance: int, party: int) -> str:
         if not (1 <= instance <= self.ell and 1 <= party <= self.k):
@@ -219,6 +225,7 @@ class InputMatrix:
         """Single-instance matrix from the inputs x_1, ..., x_k."""
         if not inputs:
             raise DomainError("need at least one input")
+        _check_bits(inputs[0], "entry")  # before the len() that sets n
         return cls(1, len(inputs), len(inputs[0]), (tuple(inputs),))
 
 
@@ -263,8 +270,12 @@ class TruthTable:
             raise DomainError("truth table entries must be bits")
 
     def evaluate(self, args: Sequence[str]) -> int:
-        if len(args) != self.k or any(len(a) != self.n for a in args):
+        if not isinstance(args, Sequence) or len(args) != self.k:
             raise DomainError("argument shape mismatch")
+        for a in args:
+            _check_bits(a, "argument")
+            if len(a) != self.n:
+                raise DomainError("argument shape mismatch")
         return self.values[bits_to_int("".join(args))]
 
     @classmethod
@@ -714,14 +725,21 @@ def run_protocol(spec: ProtocolSpec, x: InputMatrix) -> Transcript:
     for t in range(1, spec.rounds + 1):
         board = tuple(records) if on_board else None
         round_records: list[MessageRecord] = []
+        # the round is in order without a sort while each sender writes
+        # one record and the senders ascend
+        ordered, sender = True, 0
         for p in asked[t - 1]:
             outs = next_message(p, t, views[p], inboxes[p], board)
             if not outs:
                 continue
-            for out in _messages(spec, p, t, outs):
+            sent = _messages(spec, p, t, outs)
+            if sent:
+                ordered = ordered and len(sent) == 1 and p > sender
+                sender = p
+            for out in sent:
                 # an Outgoing's fields are a record's after round and sender
                 round_records.append(new(MessageRecord, (t, p, *out)))
-        if len(round_records) > 1:
+        if not ordered:
             round_records.sort(key=_round_order)
         records.extend(round_records)
         if not on_board:

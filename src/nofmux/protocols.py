@@ -7,6 +7,8 @@ them are oblivious, so every one declares its communication pattern.
 
 from __future__ import annotations
 
+from functools import cache
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from .combinatorics import Permutation, permute_graph
@@ -250,6 +252,12 @@ def example3_filtering_triplets(k: int):
 # myopic chain
 # ---------------------------------------------------------------------------
 
+@cache
+def _bit_to(j: int) -> tuple[tuple[Outgoing], tuple[Outgoing]]:
+    """The messages "0" and "1" to party j, each as a one-message result."""
+    return (Outgoing(j, "0"),), (Outgoing(j, "1"),)
+
+
 def myopic_eq_chain(k: int, n: int, pi: Permutation) -> ProtocolSpec:
     """One-way equality along the chain pi; not taken from any publication.
 
@@ -262,21 +270,22 @@ def myopic_eq_chain(k: int, n: int, pi: Permutation) -> ProtocolSpec:
     if pi.k != k:
         raise DomainError("chain permutation arity mismatch")
     at = (0,) + pi.image  # at[t] = pi(t)
+    # sends[t][bit]: position t's message, the bit to its successor
+    sends = {t: _bit_to(at[t + 1]) for t in range(2, k)}
+    firsts = itemgetter(*at[1:k])  # the first k - 1 inputs, in chain order
 
     def next_message(p, t, views, inbox, board):
         if 2 <= t <= k - 1 and p == at[t]:
-            step = int(views[1][at[t - 1]] == views[1][at[t + 1]])
+            view = views[1]
+            step = view[at[t - 1]] == view[at[t + 1]]
             if t == 2:
-                bit = step
-            else:
-                bit = int(inbox[-1].payload) & step
-            return [Outgoing(at[t + 1], str(bit))]
-        return []
+                return sends[2][step]
+            return sends[t][int(inbox[-1].payload) & step]
+        return ()
 
     def output_rule(views, inbox, board):
         prev = int(inbox[-1].payload)
-        mine = _all_equal(views[1][at[j]] for j in range(1, k))
-        return {1: prev & mine}
+        return {1: prev & (len(set(firsts(views[1]))) <= 1)}
 
     lengths = {(t, pi(t), pi(t + 1)): 1 for t in range(2, k)}
     return ProtocolSpec(

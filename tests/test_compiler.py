@@ -2,10 +2,13 @@
 combiner, the symmetric pipeline, the myopic combiner, and bounds."""
 
 import dataclasses
+import gc
+import itertools
 import random
 import re
 import sys
 import types
+import weakref
 
 import pytest
 
@@ -14,11 +17,11 @@ import nofmux.core
 from nofmux import (
     BindingTriplet, BudgetError, CertificateError, CommPattern,
     CompilationPlan, DEFAULT_BUDGET, DomainError, FilteringTriplet,
-    InputMatrix, LegalityError, Model, MultiplexTriplet, NofmuxError,
-    ObliviousnessError, Outgoing, Permutation, ProtocolSpec, RestrictionGraph,
-    RobustnessError, SoundnessError, TruthTable,
-    check_pattern_robust, compile_symmetric, domain_size, enumerate_inputs,
-    eq_multi_protocol,
+    InputMatrix, LegalityError, MessageRecord, Model, MultiplexTriplet,
+    NofmuxError, ObliviousnessError, Outgoing, Permutation, ProtocolSpec,
+    RestrictionGraph, RobustnessError, SoundnessError, TruthTable,
+    View, check_pattern_robust, compile_symmetric, domain_size,
+    enumerate_inputs, eq_multi_protocol,
     example3_filtering_triplets, example3_graph, example3_protocol,
     exhaustive_verify, measure_cost, multiplex_combine, myopic_combine,
     myopic_eq_chain, permute_protocol, predicted_bound, run_protocol,
@@ -235,6 +238,136 @@ def test_a_compiled_run_checks_its_outputs_once(monkeypatch):
         monkeypatch.setattr(module, "_outputs", counted)
     run_protocol(spec, InputMatrix.from_index(0, 5, 1, 3))
     assert sorted(checked) == [1, 1, 1, 3]
+
+
+# ---------------------------------------------------------------------------
+# the engine's per-run state
+# ---------------------------------------------------------------------------
+
+ENGINE_PLANS = {"t2": lambda: _equality_plan(2),
+                "t3": lambda: chained_equality_plan(n=1)}
+
+
+def _closure_refs(fn):
+    """Weak references to ``fn`` and to every function that its closure
+    cells hold, and theirs in turn."""
+    found, todo = {}, [fn]
+    while todo:
+        f = todo.pop()
+        if id(f) not in found:
+            found[id(f)] = weakref.ref(f)
+            todo += [c.cell_contents for c in f.__closure__ or ()
+                     if isinstance(c.cell_contents, types.FunctionType)]
+    return list(found.values())
+
+
+@pytest.mark.parametrize("plan", ENGINE_PLANS)
+def test_a_dropped_compiled_spec_is_freed_by_reference_counting(plan):
+    """After a full exhaustive_verify, a compiled spec, its next_message
+    and the engine's closures behind it die with the last reference to
+    the spec while the cycle collector is off: neither the closures nor
+    the per-run state hold a reference cycle."""
+    f = TruthTable.eq(5, 1)
+    gc.disable()
+    try:
+        spec = multiplex_combine(ENGINE_PLANS[plan]())
+        assert exhaustive_verify(spec, f).correct
+        refs = [weakref.ref(spec)] + _closure_refs(spec.next_message)
+        assert len(refs) > 3
+        del spec
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def _stepped(spec, x, transcripts):
+    """Run ``spec`` on ``x`` as the runner does, yielding after each round
+    and at last appending the records and the output rule's result to
+    ``transcripts``, so that the rounds of two inputs can interleave."""
+    views = {p: {u: View(p, {j: x.x(u, j) for j in range(1, spec.k + 1)
+                             if j != p})
+                 for u in range(1, spec.ell + 1)}
+             for p in range(1, spec.k + 1)}
+    records = []
+    for t, speakers in enumerate(spec._speakers, start=1):
+        board = tuple(records)
+        sent = [MessageRecord(t, p, *out) for p in speakers
+                for out in spec.next_message(p, t, views[p], (), board)]
+        records += sorted(sent, key=lambda r: (r.sender, r.protocol or 0,
+                                               r.recipient))
+        yield
+    final = tuple(records)
+    transcripts.append((final, spec.output_rule(views[spec.output_party],
+                                                (), final)))
+
+
+@pytest.mark.parametrize("plan", ENGINE_PLANS)
+def test_no_per_run_state_leaks_between_interleaved_runs(plan):
+    """Rounds of two inputs, driven by hand in turn, so that no board
+    extends the last one indexed, give each input the records and outputs
+    of a run on a spec that ran nothing else."""
+    spec = multiplex_combine(ENGINE_PLANS[plan]())
+    size = domain_size(spec.k, spec.n, spec.ell)
+    rng = random.Random(0)
+    for _ in range(40):
+        xs = [InputMatrix.from_index(rng.randrange(size), spec.k, spec.n,
+                                     spec.ell) for _ in range(2)]
+        got = [[], []]
+        for _ in itertools.zip_longest(*(_stepped(spec, x, out)
+                                         for x, out in zip(xs, got))):
+            pass
+        for x, [(records, outputs)] in zip(xs, got):
+            cold = run_protocol(multiplex_combine(ENGINE_PLANS[plan]()), x)
+            assert records == cold.records, x.index
+            assert outputs == cold.outputs, x.index
+
+
+def test_every_instance_result_on_a_t3_input_is_checked(monkeypatch):
+    """Every non-empty result of a speaking chain rule passes the runner's
+    ``_messages``, and every chain output the runner's ``_outputs``, in
+    the order the rules return them: no fast path drops or reuses a
+    check.  Recomputing a block component is not speaking: its result was
+    checked when it was sent."""
+    plan = chained_equality_plan(n=1)
+    results = []
+
+    def logged(q):
+        def next_message(p, t, views, inbox, board):
+            outs = q.next_message(p, t, views, inbox, board)
+            if outs and sys._getframe(1).f_code.co_name != "recompute":
+                results.append(("message", outs))
+            return outs
+
+        def output_rule(views, inbox, board):
+            out = q.output_rule(views, inbox, board)
+            results.append(("output", out))
+            return out
+
+        return dataclasses.replace(q, next_message=next_message,
+                                   output_rule=output_rule)
+
+    spec = multiplex_combine(dataclasses.replace(
+        plan, protocols=tuple(map(logged, plan.protocols))))
+    checked = []
+
+    def messages(q, p, t, outs, check=nofmux.compiler._messages):
+        checked.append(("message", outs))
+        return check(q, p, t, outs)
+
+    def outputs(result, ell, check=nofmux.compiler._outputs):
+        checked.append(("output", result))
+        return check(result, ell)
+
+    monkeypatch.setattr(nofmux.compiler, "_messages", messages)
+    monkeypatch.setattr(nofmux.compiler, "_outputs", outputs)
+    for idx in range(domain_size(5, 1, 2)):
+        results.clear()
+        checked.clear()
+        run_protocol(spec, InputMatrix.from_index(idx, 5, 1, 2))
+        assert [kind for kind, _ in results].count("output") == 2
+        assert len(checked) == len(results), idx
+        assert all(a[0] == b[0] and a[1] is b[1]
+                   for a, b in zip(checked, results)), idx
 
 
 # ---------------------------------------------------------------------------

@@ -723,6 +723,23 @@ def test_input_matrix_rejects_non_bit_entry():
         InputMatrix(1, 2, 1, (("0", "x"),))
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: InputMatrix(1, 2, 1, ((1, "0"),)), "entry 1 is not a bit string"),
+    (lambda: InputMatrix.single("0", 1), "entry 1 is not a bit string"),
+    (lambda: InputMatrix.single(1, "0"), "entry 1 is not a bit string"),
+    (lambda: InputMatrix(1, 2, 1, None), "rows None are not a sequence"),
+    (lambda: InputMatrix(1, 2, 1, (5,)), "row 5 is not a sequence"),
+    (lambda: TruthTable.eq(2, 1).evaluate(("0", 1)),
+     "argument 1 is not a bit string"),
+    (lambda: TruthTable.eq(2, 1).evaluate(None), "argument shape mismatch"),
+])
+def test_ill_typed_inputs_fail_as_domain_errors(build, error):
+    """An ill-typed entry, row or argument is refused before any len(),
+    as a DomainError, never a TypeError."""
+    with pytest.raises(DomainError, match=re.escape(error)):
+        build()
+
+
 def test_replay_determinism():
     spec = _xor_board_protocol()
     t = check_replay_determinism(spec, InputMatrix.single("1", "0", "1"))

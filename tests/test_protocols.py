@@ -1,10 +1,14 @@
 """Built-in protocols: exhaustive correctness against the oracle, exact
 costs, pattern conformance, and view legality."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 from nofmux import (
-    DomainError, InputMatrix, Permutation, TruthTable, check_view_legality,
+    DomainError, InputMatrix, LegalityError, MessageRecord, Outgoing,
+    Permutation, TruthTable, View, check_view_legality,
     enumerate_inputs, eq_multi_protocol, eq_two_bit_protocol,
     example1_graph, example1_permutation, example1_protocol,
     example1_variant, example3_filtering_triplets, example3_graph,
@@ -169,6 +173,90 @@ def test_myopic_equality_chain(image):
 def test_myopic_chain_needs_four_parties():
     with pytest.raises(DomainError):
         myopic_eq_chain(3, 1, Permutation((1, 2, 3)))
+
+
+def _reference_eq_chain(k, n, pi):
+    """``myopic_eq_chain`` with its rules written out step by step: an int
+    step bit per position, a fresh message each call and a generator for
+    the last party's all-equal check.  Its table-driven rules must match
+    this reference read for read."""
+    at = (0,) + pi.image
+
+    def next_message(p, t, views, inbox, board):
+        if 2 <= t <= k - 1 and p == at[t]:
+            step = int(views[1][at[t - 1]] == views[1][at[t + 1]])
+            bit = step if t == 2 else int(inbox[-1].payload) & step
+            return [Outgoing(at[t + 1], str(bit))]
+        return []
+
+    def output_rule(views, inbox, board):
+        prev = int(inbox[-1].payload)
+        mine = int(len(set(views[1][at[j]] for j in range(1, k))) <= 1)
+        return {1: prev & mine}
+
+    return dataclasses.replace(myopic_eq_chain(k, n, pi),
+                               next_message=next_message,
+                               output_rule=output_rule)
+
+
+REFERENCE_CHAINS = {4: (2, 1, 4, 3), 5: (4, 2, 5, 1, 3),
+                    7: (4, 2, 5, 1, 3, 6, 7)}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("k", [4, 5, 7])
+def test_myopic_chain_matches_its_reference_rules(k, n):
+    """Records and outputs on the whole domain, for the identity chain and
+    one other."""
+    for image in (tuple(range(1, k + 1)), REFERENCE_CHAINS[k]):
+        pi = Permutation(image)
+        spec, ref = myopic_eq_chain(k, n, pi), _reference_eq_chain(k, n, pi)
+        for x in enumerate_inputs(k, n):
+            got, want = run_protocol(spec, x), run_protocol(ref, x)
+            assert got.records == want.records, (image, x.index)
+            assert got.outputs == want.outputs, (image, x.index)
+
+
+def _raised(rule, *args):
+    try:
+        rule(*args)
+    except LegalityError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_myopic_chain_reads_its_cells_in_the_reference_order(k):
+    """A view that lacks any of the cells a rule reads raises the
+    reference's LegalityError, which names the first missing cell read."""
+    pi = Permutation(REFERENCE_CHAINS[k])
+    spec, ref = myopic_eq_chain(k, 1, pi), _reference_eq_chain(k, 1, pi)
+    at = (0,) + pi.image
+
+    def views(p, reads, gone):
+        seen = spec._seen[p - 1]
+        assert set(reads) <= set(seen)
+        return {1: View(p, {j: "0" for j in seen if j not in gone})}
+
+    def subsets(reads):
+        return [gone for size in range(1, len(reads) + 1)
+                for gone in itertools.combinations(reads, size)]
+
+    for t in range(2, k):
+        inbox = (MessageRecord(t - 1, at[t - 1], at[t], "1"),)
+        reads = (at[t - 1], at[t + 1])
+        for gone in subsets(reads):
+            args = (at[t], t, views(at[t], reads, gone), inbox, None)
+            want = _raised(ref.next_message, *args)
+            assert want is not None
+            assert _raised(spec.next_message, *args) == want
+    inbox = (MessageRecord(k - 1, at[k - 1], at[k], "1"),)
+    reads = at[1:k]
+    for gone in subsets(reads):
+        args = (views(at[k], reads, gone), inbox, None)
+        want = _raised(ref.output_rule, *args)
+        assert want is not None
+        assert _raised(spec.output_rule, *args) == want
 
 
 # ---------------------------------------------------------------------------
