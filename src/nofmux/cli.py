@@ -185,6 +185,9 @@ def _cmd_validate(args) -> int:
         needs = (["--graph"] * wants_graph
                  + ["permutations in the file"] * wants_perms)
         raise DomainError(f"{kind} certificates need {' and '.join(needs)}")
+    if perms is not None and len(perms) != ell:
+        raise DomainError(f"certificate declares ell={ell} but holds "
+                          f"{len(perms)} permutations")
     graph = _resolve_graph(args.graph, k) if wants_graph else None
     notes = []
     if kind == "filtering":

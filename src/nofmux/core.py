@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from enum import Enum
@@ -315,40 +315,36 @@ class TruthTable:
             return cls.from_json(json.load(fh))
 
 
-class View:
-    """The inputs one party sees in one instance.
+class View(dict):
+    """The inputs one party sees in one instance: a read-only dict from
+    party to input.
 
-    Reading a party that is not visible raises LegalityError, so a
-    next-message rule physically cannot peek at its own forehead.  A view
-    is immutable, so it keeps the projections made from it.
+    Reading a party that is not visible raises LegalityError (from
+    ``__missing__``), so a next-message rule physically cannot peek at its
+    own forehead; a visible read is a plain dict lookup, and ``get``
+    returns its default as a dict's does.  Every mutating method raises
+    TypeError: views are interned and shared across runs, and each keeps
+    the projections made from it.
     """
 
-    __slots__ = ("owner", "_visible", "_projections")
+    __slots__ = ("owner", "_projections")
 
-    def __init__(self, owner: int, visible: Mapping[int, str]):
-        if owner in visible:
+    def __init__(self, owner: int,
+                 visible: Mapping[int, str] | Iterable[tuple[int, str]]):
+        dict.__init__(self, visible)
+        if owner in self:
             raise LegalityError(f"party {owner} cannot see its own forehead")
         self.owner = owner
-        self._visible = dict(visible)
         self._projections = {}
 
-    @classmethod
-    def _of(cls, owner: int, visible: dict[int, str]) -> "View":
-        """A view that takes ``visible``, a fresh dict without ``owner``,
-        as it is."""
-        view = cls.__new__(cls)
-        view.owner, view._visible, view._projections = owner, visible, {}
-        return view
+    def __missing__(self, party: int):
+        raise LegalityError(f"party {self.owner} cannot see x_{party}")
 
-    def __getitem__(self, party: int) -> str:
-        try:
-            return self._visible[party]
-        except KeyError:
-            raise LegalityError(
-                f"party {self.owner} cannot see x_{party}") from None
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a View is read-only")
 
-    def __contains__(self, party: int) -> bool:
-        return party in self._visible
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
 
     def _project(self, owner: int,
                  reads: Sequence[tuple[int, int]]) -> "View":
@@ -360,30 +356,22 @@ class View:
         entry = self._projections.get(id(reads))
         if entry is not None and entry[1].owner == owner:
             return entry[1]
-        visible = self._visible
-        try:
-            projected = {q: visible[src] for q, src in reads}
-        except KeyError as exc:
-            raise LegalityError(f"party {self.owner} cannot see "
-                                f"x_{exc.args[0]}") from None
-        if owner in projected:
-            raise LegalityError(f"party {owner} cannot see its own forehead")
-        view = View._of(owner, projected)
+        view = View(owner, [(q, self[src]) for q, src in reads])
         self._projections[id(reads)] = (reads, view)
         return view
 
     def parties(self) -> frozenset[int]:
-        return frozenset(self._visible)
-
-    def items(self):
-        return self._visible.items()
+        return frozenset(self)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, View) and other.owner == self.owner
-                and other._visible == self._visible)
+                and dict.__eq__(self, other))
+
+    def __ne__(self, other) -> bool:
+        return not self == other
 
     def __repr__(self) -> str:
-        return f"View(owner={self.owner}, visible={self._visible!r})"
+        return f"View(owner={self.owner}, visible={dict.__repr__(self)})"
 
 
 Views = Mapping[int, View]  # instance -> View, keyed 1..ell
@@ -709,14 +697,14 @@ def run_protocol(spec: ProtocolSpec, x: InputMatrix) -> Transcript:
                 key = (p, tuple([row[j - 1] for j in seen]))
                 view = pool.get(key)
                 if view is None:
-                    view = pool[key] = View._of(p, dict(zip(seen, key[1])))
+                    view = pool[key] = View(p, zip(seen, key[1]))
                 row_views.append(view)
             row_views = table[row] = tuple(row_views)
         by_row.append(row_views)
     # party -> instance -> view: the rows' views transposed
     instances = range(1, spec.ell + 1)
-    views = {p: dict(zip(instances, by_party)) for p, by_party
-             in enumerate(zip(*by_row) if by_row else [()] * spec.k, 1)}
+    views = {p: dict(zip(instances, by_party))
+             for p, by_party in enumerate(zip(*by_row), 1)}
     on_board = spec.model is _ON_BOARD
     inboxes: dict[int, tuple[MessageRecord, ...]] = dict.fromkeys(views, ())
     records: list[MessageRecord] = []

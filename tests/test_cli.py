@@ -301,6 +301,17 @@ SHAPE_ERRORS = {
                      "triplets": [[5, 2, [1, 2]]],
                      "permutations": [[1, 2, 3, 4, 5], [4, 2, 5, 1, 3]]},
         None),
+    "multiplexing-permutation-count": (
+        "validate", {"kind": "multiplexing", "k": 4, "ell": 7,
+                     "triplets": [[4, 1, [2, 3]]],
+                     "permutations": [[1, 2, 3, 4], [2, 3, 1, 4],
+                                      [3, 1, 2, 4]]},
+        {"builtin": "example1", "k": 4}),
+    "repetitive-permutation-count": (
+        "validate", {"kind": "repetitive", "k": 5, "ell": 9,
+                     "triplets": [[2, 2, [1, 2]]],
+                     "permutations": [[1, 2, 3, 4, 5], [4, 2, 5, 1, 3]]},
+        None),
     "permutation-arity": (
         "validate", {"kind": "repetitive", "k": 5, "ell": 2,
                      "triplets": [[2, 2, [1, 2]]],

@@ -223,6 +223,67 @@ def test_view_denies_invisible_parties():
         View(1, {1: "00"})
 
 
+def test_view_reads_are_dict_reads():
+    """A visible read is a C-level dict lookup, not a Python method; only a
+    miss reaches ``__missing__``."""
+    assert View.__getitem__ is dict.__getitem__
+    assert View.__contains__ is dict.__contains__
+    assert View.items is dict.items
+
+
+VIEW_WRITES = {
+    "setitem": lambda v: v.__setitem__(2, "11"),
+    "setitem-visible": lambda v: v.__setitem__(1, "11"),
+    "delitem": lambda v: v.__delitem__(1),
+    "ior": lambda v: v.__ior__({2: "11"}),
+    "clear": lambda v: v.clear(),
+    "pop": lambda v: v.pop(1),
+    "popitem": lambda v: v.popitem(),
+    "setdefault": lambda v: v.setdefault(2, "11"),
+    "update": lambda v: v.update({2: "11"}),
+    "update-kwargs": lambda v: v.update(x="11"),
+}
+
+
+@pytest.mark.parametrize("write", VIEW_WRITES.values(), ids=list(VIEW_WRITES))
+def test_view_is_read_only(write):
+    v = View(2, {1: "01", 3: "10"})
+    with pytest.raises(TypeError, match="^a View is read-only$"):
+        write(v)
+    assert v == View(2, {1: "01", 3: "10"}) and list(v) == [1, 3]
+    assert v.owner == 2 and v.parties() == frozenset({1, 3})
+
+
+def test_view_equality_names_the_owner():
+    v = View(2, {1: "01"})
+    assert v == View(2, {1: "01"}) and not v != View(2, {1: "01"})
+    assert v != View(3, {1: "01"}) and not v == View(3, {1: "01"})
+    assert v != {1: "01"} and {1: "01"} != v
+    assert repr(v) == "View(owner=2, visible={1: '01'})"
+
+
+def test_a_rule_cannot_write_the_kept_views():
+    """Views are pooled per spec and shared by every run; a rule that tries
+    each write on its view is refused every time, so each run, and each
+    pooled view, is what it would be without the attempts."""
+    spec = eq_two_bit_protocol(3, 2)
+
+    def next_message(p, t, views, inbox, board):
+        for write in VIEW_WRITES.values():
+            with pytest.raises(TypeError):
+                write(views[1])
+        return spec.next_message(p, t, views, inbox, board)
+
+    writing = dataclasses.replace(spec, next_message=next_message)
+    for idx in range(domain_size(spec.k, spec.n, spec.ell)):
+        x = InputMatrix.from_index(idx, spec.k, spec.n)
+        assert run_protocol(writing, x) == run_protocol(spec, x)
+    table, pool = writing._memo["views"]
+    assert (len(table), len(pool)) == (64, 3 * 2 ** 4)
+    for (p, seen), view in pool.items():
+        assert view == View(p, zip(writing._seen[p - 1], seen))
+
+
 def test_projection_is_kept_and_a_hidden_one_raises_every_time():
     """A projection is kept by the identity of its reads tuple: a hit is
     the same view, an equal but distinct tuple or another owner gets a
